@@ -65,7 +65,6 @@ from .score_model import (
 from .simulate import (
     SimConfig,
     SimEstimate,
-    TrialOutcome,
     allocate_mixture,
     chernoff_demand_bound,
     exact_expected_served,
@@ -74,6 +73,7 @@ from .simulate import (
     flag_top,
     grid_oracle,
     simulate_policy,
+    simulate_taus,
 )
 
 __version__ = "0.1.0"

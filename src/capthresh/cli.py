@@ -112,14 +112,6 @@ def _cmd_threshold(scn: sio.Scenario, args) -> int:
     return 0
 
 
-def _sim_estimate_row(scn, model, policy, n, m, params, workers):
-    cfg = sim.SimConfig(
-        n=n, m=m, params=params, beta1=scn.beta1[0],
-        trials=scn.trials, seed=scn.seed,
-    )
-    return sim.simulate_policy(cfg, policy, model, workers=workers)
-
-
 def _cmd_sweep(scn: sio.Scenario, args) -> int:
     sweep = scn.sweep
     if sweep is None:
@@ -127,24 +119,34 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
     prefix = _require_prefix(scn)
     model = scn.build_model()
     params = scn.behavioral
+    policies = scn.policies
     grid = np.linspace(sweep["lo"], sweep["hi"], sweep["points"])
     axis = sweep["axis"]
     rho = scn.m / scn.n if axis == "p0" else None
+    curves = [
+        fluid.gap_curve(p, axis=axis, grid=grid, model=model, params=params, rho=rho, n=scn.n)
+        for p in policies
+    ]
+    # per grid point, every policy is simulated from one set of draws
+    sims = [[(None, None)] * len(grid) for _ in policies]
+    if sweep["simulate"]:
+        for j, x in enumerate(grid):
+            x = float(x)
+            if axis == "rho":
+                m, pt_params = int(round(x * scn.n)), params
+            else:
+                m, pt_params = scn.m, BehavioralParams(x, params.delta_p)
+            cfg = sim.SimConfig(
+                n=scn.n, m=m, params=pt_params, beta1=scn.beta1[0],
+                trials=scn.trials, seed=scn.seed,
+            )
+            taus = [fluid.resolve_threshold(p, m / scn.n, model, pt_params) for p in policies]
+            for i, est in enumerate(sim.simulate_taus(cfg, taus, model, workers=args.workers)):
+                sims[i][j] = (est.mean, est.std_error)
     rows = []
-    for policy in scn.policies:
+    for policy, points, sim_row in zip(policies, curves, sims):
         label = fluid.policy_label(policy)
-        points = fluid.gap_curve(
-            policy, axis=axis, grid=grid, model=model, params=params, rho=rho, n=scn.n
-        )
-        for pt in points:
-            sim_mean = sim_se = None
-            if sweep["simulate"]:
-                if axis == "rho":
-                    n, m, pt_params = scn.n, int(round(pt.x * scn.n)), params
-                else:
-                    n, m, pt_params = scn.n, scn.m, BehavioralParams(pt.x, params.delta_p)
-                est = _sim_estimate_row(scn, model, policy, n, m, pt_params, args.workers)
-                sim_mean, sim_se = est.mean, est.std_error
+        for pt, (sim_mean, sim_se) in zip(points, sim_row):
             rows.append(
                 SweepRow(
                     axis_value=pt.x, policy=label, tau=pt.tau_policy,
@@ -165,13 +167,19 @@ def _cmd_simulate(scn: sio.Scenario, args) -> int:
     n, m = _require_point(scn)
     model = scn.build_model()
     params = scn.behavioral
-    for policy in scn.policies:
-        tau = fluid.resolve_threshold(policy, m / n, model, params)
-        for b1 in scn.beta1:
-            cfg = sim.SimConfig(
-                n=n, m=m, params=params, beta1=b1, trials=scn.trials, seed=scn.seed
-            )
-            est = sim.simulate_policy(cfg, policy, model, workers=args.workers)
+    policies = scn.policies
+    taus = [fluid.resolve_threshold(p, m / n, model, params) for p in policies]
+    # all policies of one beta1 share one set of draws
+    by_beta1 = [
+        sim.simulate_taus(
+            sim.SimConfig(n=n, m=m, params=params, beta1=b1, trials=scn.trials, seed=scn.seed),
+            taus, model, workers=args.workers,
+        )
+        for b1 in scn.beta1
+    ]
+    for i, (policy, tau) in enumerate(zip(policies, taus)):
+        for b1, ests in zip(scn.beta1, by_beta1):
+            est = ests[i]
             _emit(
                 policy=fluid.policy_label(policy), beta1=b1, tau=tau,
                 mean=est.mean, se=est.std_error, trials=est.trials,
@@ -275,7 +283,10 @@ _COMMANDS = {
 
 def execute(argv) -> int:
     """Parse argv, run the subcommand, and map failures to exit codes."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     try:
         scn = _apply_overrides(sio.load_scenario(args.scenario), args)
         return _COMMANDS[args.command](scn, args)

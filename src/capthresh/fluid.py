@@ -25,6 +25,7 @@ parallel and bitwise independent of evaluation order.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ class BehavioralParams:
     delta_p: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.p0) and math.isfinite(self.delta_p)):
+            raise ValueError("p0 and delta_p must be finite")
         if self.p0 < 0 or self.delta_p < 0:
             raise ValueError("p0 and delta_p must be nonnegative")
         if self.p0 + self.delta_p > 1.0 + 1e-12:

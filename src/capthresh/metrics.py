@@ -16,6 +16,7 @@ thresholds, which is what makes it the selection criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class Atoms:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("need at least one atom")
+        if not all(math.isfinite(v) for atom in atoms for v in atom):
+            raise ValueError("atoms must be finite")
         if any(r <= 0 for r, _ in atoms):
             raise ValueError("capacity ratios must be positive")
         if any(w < 0 for _, w in atoms):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,6 +74,8 @@ def _get(obj: dict, key: str, types, path: str, required=True, default=None):
         val = float(val)
     if not isinstance(val, types) or isinstance(val, bool) and types is not bool:
         _fail(f"{path}.{key}", f"expected {getattr(types, '__name__', types)}")
+    if types is float and not math.isfinite(val):
+        _fail(f"{path}.{key}", "must be finite")
     return val
 
 

@@ -102,6 +102,8 @@ class BetaMixture:
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("mixture needs at least one component")
+        if not all(math.isfinite(v) for comp in comps for v in comp):
+            raise ValueError("mixture weights and beta shapes must be finite")
         if any(w < 0 for w, _, _ in comps):
             raise ValueError("mixture weights must be nonnegative")
         if abs(sum(w for w, _, _ in comps) - 1.0) > 1e-12:
@@ -188,6 +190,8 @@ class GaussianNoiseClipped:
     sigma: float
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 

@@ -10,11 +10,14 @@ pure prioritization; capacity is conserved).
 
 RNG contract: the master seed spawns one independent substream per trial
 index.  Within a trial, draws are consumed in a fixed order -- cohort draws,
-flag tie-break permutation, request uniforms (individual-index order), then
-one prioritization tie key and one lottery key per individual.  Results are
-therefore bitwise independent of worker count, and a tau-grid search reuses
-the same request/allocation draws at every grid point (common random
-numbers).
+flag tie-break permutation (drawn even when no one is flagged), request
+uniforms (individual-index order), then one prioritization tie key and one
+lottery key per individual.  A frozen cohort skips the first two: its flags
+use one permutation drawn from the master seed.  Each trial is drawn once and
+evaluated at every requested tau, so all grid points of a tau search share the
+same cohort, request and allocation draws (common random numbers).  Results
+are bitwise independent of the worker count and of which other taus are
+evaluated alongside.
 
 The exact oracles replace Monte Carlo for small instances: the expected served
 count is an exact binomial convolution, and the random-allocation objective
@@ -26,13 +29,14 @@ other n-1 request indicators.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .fluid import BehavioralParams, Fixed, ThresholdPolicy, fluid_demand, resolve_threshold
+from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand, resolve_threshold
 from .score_model import JointScoreModel, Population, flagged_count, sample_population
 
 EXACT_BUDGET = 5000
@@ -40,7 +44,7 @@ EXACT_BUDGET = 5000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Operating point and Monte Carlo budget for simulate_policy."""
+    """Operating point and Monte Carlo budget for the simulators."""
 
     n: int
     m: int
@@ -62,17 +66,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Realized counts and value of a single trial."""
-
-    served_value: float
-    served_count: int
-    served_flagged: int
-    served_unflagged: int
-    requests_total: int
-
-
-@dataclass(frozen=True)
 class SimEstimate:
     """Monte Carlo mean of the served value with its standard error.
 
@@ -89,21 +82,42 @@ class SimEstimate:
     utilization_mean: float
 
 
+def _top_k_flags(r_hat: np.ndarray, perm: np.ndarray, ks) -> list[np.ndarray]:
+    """Boolean flags of the ``k`` highest predicted scores, one array per ``k``.
+
+    Each set equals ``np.lexsort((perm, -r_hat))[:k]``: everyone strictly
+    above the k-th highest score, then the group tied at it in ``perm``
+    order.  One partition finds the cut of every ``k``.
+    """
+    neg = -r_hat
+    cut_ranks = sorted({k - 1 for k in ks if k > 0})
+    part = np.partition(neg, cut_ranks) if cut_ranks else neg
+    out = []
+    for k in ks:
+        if k == 0:
+            out.append(np.zeros(neg.size, dtype=bool))
+            continue
+        cut = part[k - 1]
+        flags = neg < cut
+        need = k - np.count_nonzero(flags)
+        tied = np.flatnonzero(neg == cut)
+        if need < tied.size:
+            tied = tied[np.argpartition(perm[tied], need - 1)[:need]]
+        flags[tied] = True
+        out.append(flags)
+    return out
+
+
 def flag_top(population: Population, tau: float, seed=0) -> np.ndarray:
     """Boolean flags for the top (1 - tau) fraction by predicted score.
 
     Exactly ``n - ceil(tau * n)`` individuals are flagged; ties in predicted
-    score are broken by a permutation drawn from ``seed``.
+    score are broken by a permutation drawn from ``seed`` (drawn even when no
+    one is flagged).
     """
     n = population.n
-    k = flagged_count(n, tau)
-    flags = np.zeros(n, dtype=bool)
-    if k == 0:
-        return flags
-    rng = np.random.default_rng(seed)
-    order = np.lexsort((rng.permutation(n), -population.r_hat))
-    flags[order[:k]] = True
-    return flags
+    perm = np.random.default_rng(seed).permutation(n)
+    return _top_k_flags(population.r_hat, perm, [flagged_count(n, tau)])[0]
 
 
 def _allocate(
@@ -156,90 +170,51 @@ def allocate_mixture(
     return _allocate(requesters, scores, tie, lottery, int(m), beta1)
 
 
-def _run_trial(
-    model: JointScoreModel,
-    config: SimConfig,
-    tau: float,
-    frozen: tuple[Population, np.ndarray] | None,
-    seed_seq: np.random.SeedSequence,
-) -> TrialOutcome:
-    rng = np.random.default_rng(seed_seq)
-    if frozen is None:
-        pop = sample_population(model, config.n, config.binary_mode, seed=rng)
-        flags = flag_top(pop, tau, seed=rng)
-    else:
-        pop, flags = frozen
+def _pool_size(workers: int, trials: int) -> int:
+    """Worker processes to start: never more than CPUs or trials."""
+    return max(1, min(workers, os.cpu_count() or 1, trials))
+
+
+def _run_trials(model, config, ks, frozen, children, lo, hi) -> np.ndarray:
+    """Trials ``lo..hi-1``, each drawn once and evaluated at every flag count.
+
+    Returns shape ``(len(ks), hi - lo, 5)``: per flag count and trial, the
+    served value, served count, served flagged, served unflagged and request
+    count.  Only one trial's draws are held at a time.
+    """
     p = config.params
-    u = rng.random(config.n)
-    requested = u < (p.p0 + p.delta_p * flags)
-    requesters = np.flatnonzero(requested)
-    tie = rng.random(config.n)
-    lottery = rng.random(config.n)
-    served = _allocate(
-        requesters, pop.r_hat[requesters], tie[requesters], lottery[requesters],
-        config.m, config.beta1,
-    )
-    values = pop.y if (config.binary_mode and pop.y is not None) else pop.r
-    served_flagged = int(flags[served].sum())
-    return TrialOutcome(
-        served_value=float(values[served].sum()),
-        served_count=served.size,
-        served_flagged=served_flagged,
-        served_unflagged=served.size - served_flagged,
-        requests_total=requesters.size,
-    )
-
-
-def _run_range(model, config, tau, frozen, children, lo, hi):
-    out = np.empty((hi - lo, 5))
+    out = np.empty((len(ks), hi - lo, 5))
     for i in range(lo, hi):
-        t = _run_trial(model, config, tau, frozen, children[i])
-        out[i - lo] = (
-            t.served_value,
-            t.served_count,
-            t.served_flagged,
-            t.served_unflagged,
-            t.requests_total,
-        )
+        rng = np.random.default_rng(children[i])
+        if frozen is None:
+            pop = sample_population(model, config.n, config.binary_mode, seed=rng)
+            flag_sets = _top_k_flags(pop.r_hat, rng.permutation(config.n), ks)
+        else:
+            pop, flag_sets = frozen
+        u = rng.random(config.n)
+        tie = rng.random(config.n)
+        lottery = rng.random(config.n)
+        requests_unflagged = u < p.p0
+        requests_flagged = u < p.p0 + p.delta_p
+        values = pop.y if (config.binary_mode and pop.y is not None) else pop.r
+        for j, flags in enumerate(flag_sets):
+            requesters = np.flatnonzero(np.where(flags, requests_flagged, requests_unflagged))
+            served = _allocate(
+                requesters, pop.r_hat[requesters], tie[requesters], lottery[requesters],
+                config.m, config.beta1,
+            )
+            served_flagged = np.count_nonzero(flags[served])
+            out[j, i - lo] = (
+                values[served].sum(),
+                served.size,
+                served_flagged,
+                served.size - served_flagged,
+                requesters.size,
+            )
     return out
 
 
-def simulate_policy(
-    config: SimConfig,
-    policy: ThresholdPolicy,
-    model: JointScoreModel,
-    *,
-    population: Population | None = None,
-    workers: int = 1,
-    _seed_children: list[np.random.SeedSequence] | None = None,
-) -> SimEstimate:
-    """Monte Carlo estimate of the served value under a threshold policy.
-
-    With ``population`` given, the cohort (and its flag set) is frozen across
-    trials and only requests/allocation are random; otherwise each trial
-    resamples a cohort from the model.  Deterministic given ``config.seed``
-    and independent of ``workers``.
-    """
-    tau = resolve_threshold(policy, config.m / config.n, model, config.params)
-    frozen = None
-    if population is not None:
-        if population.n != config.n:
-            raise ValueError("frozen population size must match config.n")
-        frozen = (population, flag_top(population, tau, seed=config.seed))
-    children = _seed_children
-    if children is None:
-        children = np.random.SeedSequence(config.seed).spawn(config.trials)
-    if workers <= 1 or config.trials < 4:
-        rows = _run_range(model, config, tau, frozen, children, 0, config.trials)
-    else:
-        bounds = np.linspace(0, config.trials, workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_run_range, model, config, tau, frozen, children, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            rows = np.concatenate([f.result() for f in futs])
+def _estimate(rows: np.ndarray, config: SimConfig) -> SimEstimate:
     values = rows[:, 0]
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
@@ -254,6 +229,65 @@ def simulate_policy(
     )
 
 
+def simulate_taus(
+    config: SimConfig,
+    taus,
+    model: JointScoreModel,
+    *,
+    population: Population | None = None,
+    workers: int = 1,
+) -> list[SimEstimate]:
+    """Monte Carlo estimates of the served value at each threshold in ``taus``.
+
+    Every trial is drawn once and evaluated at all thresholds (common random
+    numbers), so the estimate at one tau equals a run at that tau alone.
+    With ``population`` given, the cohort (and its flag sets) is frozen
+    across trials and only requests/allocation are random; otherwise each
+    trial resamples a cohort from the model.  Deterministic given
+    ``config.seed`` and independent of ``workers``.
+    """
+    ks = [flagged_count(config.n, float(t)) for t in taus]
+    uniq = sorted(set(ks))
+    frozen = None
+    if population is not None:
+        if population.n != config.n:
+            raise ValueError("frozen population size must match config.n")
+        perm = np.random.default_rng(config.seed).permutation(config.n)
+        frozen = (population, _top_k_flags(population.r_hat, perm, uniq))
+    children = np.random.SeedSequence(config.seed).spawn(config.trials)
+    procs = _pool_size(workers, config.trials)
+    if procs <= 1 or config.trials < 4:
+        rows = _run_trials(model, config, uniq, frozen, children, 0, config.trials)
+    else:
+        bounds = np.linspace(0, config.trials, procs + 1).astype(int)
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            futs = [
+                pool.submit(_run_trials, model, config, uniq, frozen, children, lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+                if hi > lo
+            ]
+            rows = np.concatenate([f.result() for f in futs], axis=1)
+    by_k = {k: _estimate(rows[j], config) for j, k in enumerate(uniq)}
+    return [by_k[k] for k in ks]
+
+
+def simulate_policy(
+    config: SimConfig,
+    policy: ThresholdPolicy,
+    model: JointScoreModel,
+    *,
+    population: Population | None = None,
+    workers: int = 1,
+) -> SimEstimate:
+    """Monte Carlo estimate of the served value under a threshold policy.
+
+    The policy's tau at ``config.m / config.n``, run through
+    :func:`simulate_taus`.
+    """
+    tau = resolve_threshold(policy, config.m / config.n, model, config.params)
+    return simulate_taus(config, [tau], model, population=population, workers=workers)[0]
+
+
 def grid_oracle(
     config: SimConfig,
     model: JointScoreModel,
@@ -264,23 +298,16 @@ def grid_oracle(
 ) -> tuple[float, SimEstimate]:
     """Exhaustive tau-grid search of the simulated objective.
 
-    Every grid point reuses the same per-trial randomness (common random
+    Every grid point is evaluated from the same per-trial draws (common random
     numbers), so differences between grid points are low-variance.  Ties pick
     the smallest tau.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    children = np.random.SeedSequence(config.seed).spawn(config.trials)
     taus = np.linspace(0.0, 1.0, grid_size)
-    best_tau, best_est = None, None
-    for t in taus:
-        est = simulate_policy(
-            config, Fixed(float(t)), model,
-            population=population, workers=workers, _seed_children=children,
-        )
-        if best_est is None or est.mean > best_est.mean:
-            best_tau, best_est = float(t), est
-    return best_tau, best_est
+    ests = simulate_taus(config, taus, model, population=population, workers=workers)
+    best = int(np.argmax([e.mean for e in ests]))
+    return float(taus[best]), ests[best]
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,37 @@ def test_exit_code_usage():
     assert exc.value.code == 64
 
 
+def test_workers_below_one_is_usage_error(tmp_path):
+    scn = _scenario(tmp_path)
+    for workers in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--scenario", str(scn), "--workers", workers])
+        assert exc.value.code == 64
+
+
+def test_nan_p0_rejected_with_field_path(tmp_path, capsys):
+    scn = _scenario(tmp_path, behavioral={"p0": float("nan"), "delta_p": 0.5})
+    assert "NaN" in scn.read_text(encoding="utf-8")
+    for command in ("threshold", "simulate"):
+        code = cli.main([command, "--scenario", str(scn)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "behavioral.p0: must be finite" in captured.err
+
+
+def test_infinite_beta_shape_rejected(tmp_path, capsys):
+    model = {"kind": "beta_mixture", "components": [[1.0, float("inf"), 2.0]]}
+    scn = _scenario(tmp_path, model=model)
+    assert "Infinity" in scn.read_text(encoding="utf-8")
+    code = cli.main(["threshold", "--scenario", str(scn)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "model.components: " in captured.err
+    assert "finite" in captured.err
+
+
 def test_exit_code_runtime_error(tmp_path, capsys):
     # delta_p = 0 makes the two-point threshold undefined at runtime
     scn = _scenario(tmp_path, behavioral={"p0": 0.2, "delta_p": 0.0})

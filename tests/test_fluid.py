@@ -24,6 +24,12 @@ def test_behavioral_params_invariants():
         fl.BehavioralParams(0.6, 0.5)
 
 
+
+def test_behavioral_params_reject_non_finite():
+    for p0, dp in ((math.nan, 0.5), (0.1, math.nan), (math.inf, 0.0), (0.1, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            fl.BehavioralParams(p0, dp)
+
 # --- capacity-matching threshold ---------------------------------------------
 
 

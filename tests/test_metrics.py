@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ def test_capacity_distribution_validation():
         mt.Atoms(((0.2, 0.5), (0.3, 0.6)))
     with pytest.raises(ValueError):
         mt.Atoms(((0.0, 1.0),))
+    with pytest.raises(ValueError, match="finite"):
+        mt.Atoms(((math.inf, 1.0),))
 
 
 # --- auc_rank --------------------------------------------------------------------

@@ -24,6 +24,18 @@ def test_mixture_shapes_positive():
         sm.BetaMixture(((1.0, 0.0, 2.0),))
 
 
+
+def test_mixture_rejects_non_finite():
+    for comps in (((1.0, math.inf, 2.0),), ((1.0, 2.0, math.nan),), ((math.nan, 2.0, 2.0),)):
+        with pytest.raises(ValueError, match="finite"):
+            sm.BetaMixture(comps)
+
+
+def test_noise_sigma_must_be_finite():
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sm.GaussianNoiseClipped(sigma)
+
 def test_empirical_scores_validation():
     with pytest.raises(ValueError):
         sm.EmpiricalScores([])

@@ -43,6 +43,19 @@ def test_flag_top_tie_break_is_seeded():
     assert np.array_equal(a, sim.flag_top(pop, 0.5, seed=1))
 
 
+def test_top_k_flags_match_lexsort_prefix():
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 60, 301):
+        r_hat = np.round(rng.random(n), 1)  # heavy ties
+        perm = rng.permutation(n)
+        ks = list(range(n + 1))
+        order = np.lexsort((perm, -r_hat))
+        for k, flags in zip(ks, sim._top_k_flags(r_hat, perm, ks)):
+            expect = np.zeros(n, dtype=bool)
+            expect[order[:k]] = True
+            assert np.array_equal(flags, expect)
+
+
 # --- allocate_mixture ----------------------------------------------------------
 
 
@@ -142,10 +155,13 @@ def test_trial_outcome_conservation():
     children = np.random.SeedSequence(3).spawn(40)
     cfg = sim.SimConfig(n=60, m=12, params=P, beta1=0.25, trials=40, seed=3)
     flags = sim.flag_top(pop, 0.7, seed=3)
-    for child in children:
-        out = sim._run_trial(sm.Analytic(sm.Uniform01()), cfg, 0.7, (pop, flags), child)
-        assert out.served_count == min(out.requests_total, 12)
-        assert out.served_flagged + out.served_unflagged == out.served_count
+    k = sm.flagged_count(60, 0.7)
+    rows = sim._run_trials(
+        sm.Analytic(sm.Uniform01()), cfg, [k], (pop, [flags]), children, 0, 40
+    )[0]
+    for _, served, served_flagged, served_unflagged, requests in rows:
+        assert served == min(requests, 12)
+        assert served_flagged + served_unflagged == served
 
 
 def test_beta1_monotonicity_perfect_predictor(uniform_perfect):
@@ -302,3 +318,92 @@ def test_grid_oracle_zero_capacity(uniform_perfect):
     tau_best, est = sim.grid_oracle(cfg, uniform_perfect, 11)
     assert tau_best == 0.0
     assert est.mean == 0.0
+
+
+# --- shared-draw kernel -----------------------------------------------------------
+
+
+def _tie_corpus():
+    rng = np.random.default_rng(31)
+    true = rng.random(2000)
+    predicted = np.round(np.clip(true + 0.2 * rng.standard_normal(2000), 0.0, 1.0), 1)
+    return sm.EmpiricalJoint(predicted, true)
+
+
+@pytest.mark.parametrize("beta1", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["perfect", "noisy_ties", "corpus", "frozen"])
+def test_shared_draws_equal_single_tau_runs(kind, beta1, mixture_perfect):
+    models = {
+        "perfect": mixture_perfect,
+        "noisy_ties": sm.Analytic(
+            sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))), sm.GaussianNoiseClipped(0.4)
+        ),
+        "corpus": _tie_corpus(),
+        "frozen": mixture_perfect,
+    }
+    model = models[kind]
+    population = None
+    if kind == "frozen":
+        population = sm.sample_population(_tie_corpus(), 200, seed=3)
+    cfg = sim.SimConfig(n=200, m=40, params=P, beta1=beta1, trials=30, seed=12)
+    taus = [float(t) for t in np.linspace(0.0, 1.0, 21)]
+    shared = sim.simulate_taus(cfg, taus, model, population=population)
+    for tau, est in zip(taus, shared):
+        single = sim.simulate_policy(cfg, fl.Fixed(tau), model, population=population)
+        assert est == single
+
+
+def test_empty_flag_set_keeps_request_draws(monkeypatch, uniform_perfect):
+    # At tau=1 no one is flagged; the tie-break permutation is still drawn,
+    # so the request uniforms line up with a run at tau < 1.
+    seen = {}
+    top_k_flags, allocate = sim._top_k_flags, sim._allocate
+
+    def record_flags(r_hat, perm, ks):
+        seen["flags"] = top_k_flags(r_hat, perm, ks)[0]
+        return [seen["flags"]]
+
+    def record_requests(requesters, *rest):
+        seen["requested"] = np.isin(np.arange(50), requesters)
+        return allocate(requesters, *rest)
+
+    monkeypatch.setattr(sim, "_top_k_flags", record_flags)
+    monkeypatch.setattr(sim, "_allocate", record_requests)
+    cfg = sim.SimConfig(n=50, m=10, params=P, trials=1, seed=4)
+    runs = {}
+    for tau in (0.98, 1.0):
+        sim.simulate_policy(cfg, fl.Fixed(tau), uniform_perfect)
+        runs[tau] = (seen["flags"], seen["requested"])
+    (flags_98, req_98), (flags_1, req_1) = runs[0.98], runs[1.0]
+    assert flags_98.sum() == 1 and not flags_1.any()
+    assert np.array_equal(req_98[~flags_98], req_1[~flags_98])
+
+
+def test_grid_oracle_worker_independent(mixture_noisy):
+    cfg = sim.SimConfig(n=300, m=60, params=P, beta1=0.5, trials=40, seed=17)
+    assert sim.grid_oracle(cfg, mixture_noisy, 11) == sim.grid_oracle(
+        cfg, mixture_noisy, 11, workers=2
+    )
+
+
+def test_grid_oracle_samples_each_cohort_once(monkeypatch, uniform_perfect):
+    calls = []
+    sample = sim.sample_population
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_population", counting)
+    cfg = sim.SimConfig(n=100, m=20, params=P, trials=25, seed=5)
+    sim.grid_oracle(cfg, uniform_perfect, 21)
+    assert len(calls) == 25
+
+
+def test_pool_size_clamped(monkeypatch):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    assert sim._pool_size(64, 1000) == 4
+    assert sim._pool_size(3, 2) == 2
+    assert sim._pool_size(1, 1000) == 1
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+    assert sim._pool_size(8, 1000) == 1
