@@ -35,8 +35,8 @@ from .score_model import (
     JointScoreModel,
     _cond_mean_at_boundary,
     conditional_mean_above,
+    conditional_mean_above_grid,
     conditional_mean_top,
-    flagged_count,
     is_empirical,
     mean_true_score,
 )
@@ -235,17 +235,7 @@ def _score_optimal_uncached(
     if params.p0 == 0:
         return 1.0
     if is_empirical(model):
-        taus = np.linspace(0.0, 1.0, grid_size)
-        n = _corpus_size(model)
-        best_tau, best_val = None, -np.inf
-        for t in taus:
-            t = float(t)
-            if t < 1.0 and flagged_count(n, t) == 0:
-                continue  # no records in the tail at this grid point
-            val = fluid_efficacy(t, model, params)
-            if val > best_val:  # strict improvement keeps the smallest tau on ties
-                best_tau, best_val = t, val
-        return best_tau
+        return _empirical_score_optimal(model, params, grid_size)
     if first_order_condition(model, params, 0.0) <= 0.0:
         return 0.0
     if first_order_condition(model, params, 1.0) >= 0.0:
@@ -260,12 +250,22 @@ def _score_optimal_uncached(
     return 0.5 * (lo + hi)
 
 
-def _corpus_size(model: JointScoreModel) -> int:
-    from . import score_model as _sm
+def _empirical_score_optimal(
+    model: JointScoreModel, params: BehavioralParams, grid_size: int
+) -> float:
+    """Grid argmax of fluid_efficacy, smallest tau on ties.
 
-    if isinstance(model, _sm.Analytic):
-        return model.true_scores.values.size
-    return model.predicted.size
+    Same elementwise arithmetic as fluid_efficacy, so every grid value is
+    bitwise the scalar one.  Grid points below 1 with an empty tail are
+    skipped; at tau = 1 no one is flagged and the efficacy is E[r].
+    """
+    taus = np.linspace(0.0, 1.0, grid_size)
+    er = mean_true_score(model)
+    cma = conditional_mean_above_grid(model, taus)
+    w = params.delta_p * (1.0 - taus)
+    vals = np.where(w == 0.0, er, (params.p0 * er + w * cma) / (params.p0 + w))
+    vals[(taus < 1.0) & np.isnan(cma)] = -np.inf
+    return float(taus[int(np.argmax(vals))])  # first max = smallest tau
 
 
 def two_point_threshold(rho: float, model: JointScoreModel, params: BehavioralParams) -> float:
@@ -283,29 +283,39 @@ def two_point_threshold(rho: float, model: JointScoreModel, params: BehavioralPa
 def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> float:
     """Smallest p0 at which the score-optimal threshold starts to bind.
 
-    Found by bisection on the monotone difference tau_score(p0) - tau_c(p0):
-    the first is strictly decreasing in p0, the second nondecreasing.
-    Returns 0 if the score-optimal threshold already binds at p0 = 0 and
-    1 - delta_p if it never binds.
+    The score-optimal threshold binds when tau_score(p0) <= tau_c(p0).  For
+    analytic models one bisection over p0 tests the sign of the first-order
+    condition at the capacity-matching threshold: H(.; p0) is strictly
+    decreasing in tau, so H(tau_c(p0); p0) > 0 exactly when tau_score(p0) >
+    tau_c(p0), and no score-optimal solve is needed.  Empirical corpora,
+    whose score-optimal threshold is a grid argmax, bisect on the difference
+    tau_score(p0) - tau_c(p0) itself.  Returns 0 if the score-optimal
+    threshold already binds at p0 = 0 and 1 - delta_p if it never binds.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
     if not 0.0 < delta_p < 1.0:
         raise ValueError("delta_p must be in (0, 1)")
     p_max = 1.0 - delta_p
+    empirical = is_empirical(model)
 
-    def diff(p0: float) -> float:
+    def unbound(p0: float) -> bool:
         params = BehavioralParams(p0, delta_p)
-        return score_optimal_threshold(model, params) - capacity_matching_threshold(rho, params)
+        tau_c = capacity_matching_threshold(rho, params)
+        if empirical:
+            return score_optimal_threshold(model, params) > tau_c
+        if p0 == 0.0:
+            return tau_c < 1.0  # the score-optimal threshold is 1 at p0 = 0
+        return first_order_condition(model, params, tau_c) > 0.0
 
-    if diff(0.0) <= 0.0:
+    if not unbound(0.0):
         return 0.0
-    if diff(p_max) > 0.0:
+    if unbound(p_max):
         return p_max
     lo, hi = 0.0, p_max
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if diff(mid) > 0.0:
+        if unbound(mid):
             lo = mid
         else:
             hi = mid

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import optimize, stats
-from scipy.special import ndtr, roots_legendre
+from scipy.special import betainc, ndtr, roots_legendre
 
 QUAD_NODES = 2048
 
@@ -93,7 +93,11 @@ class Uniform01:
 
 @dataclass(frozen=True)
 class BetaMixture:
-    """Mixture of beta laws, components given as (weight, alpha, beta)."""
+    """Mixture of beta laws, components given as (weight, alpha, beta).
+
+    The cdf sums ``w * betainc(a, b, clip(x, 0, 1))`` per component, which is
+    what ``scipy.stats.beta.cdf`` computes, without its per-call overhead.
+    """
 
     components: tuple[tuple[float, float, float], ...]
 
@@ -124,8 +128,9 @@ class BetaMixture:
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
+        xc = np.clip(x, 0.0, 1.0)
         for w, a, b in self.components:
-            out += w * stats.beta.cdf(x, a, b)
+            out += w * betainc(a, b, xc)
         return out
 
     def ppf(self, u: float) -> float:
@@ -340,7 +345,7 @@ class _PerfectEngine:
         return out
 
     def cond_mean_at(self, tau: float) -> float:
-        return self.dist.ppf(tau)
+        return self.quantile(tau)
 
     def cond_mean_top(self) -> float:
         return self.dist.ppf(1.0)
@@ -439,6 +444,7 @@ class _EmpiricalEngine:
         self.desc_order = np.lexsort((tie, -predicted))
         self._values_desc_cum = np.cumsum(values[self.desc_order])
         self._pred_asc = predicted[self.desc_order][::-1]
+        self._mean = float(values.mean())
 
     def quantile(self, tau: float) -> float:
         k = max(1, math.ceil(tau * self.n - 1e-9))
@@ -449,6 +455,15 @@ class _EmpiricalEngine:
         if k == 0:
             raise ValueError("empty tail")
         return float(self._values_desc_cum[k - 1]) / k
+
+    def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
+        """cond_mean_above at every tau of an array; NaN where the tail is empty."""
+        cut = np.clip(np.ceil(taus * self.n - 1e-9), 0, self.n).astype(np.int64)
+        k = self.n - cut
+        out = np.full(taus.shape, np.nan)
+        filled = k > 0
+        out[filled] = self._values_desc_cum[k[filled] - 1] / k[filled]
+        return out
 
     def cond_mean_at(self, tau: float, bandwidth: float) -> float:
         lo = max(tau - bandwidth / 2.0, 0.0)
@@ -465,7 +480,7 @@ class _EmpiricalEngine:
         return float(self.values[self.desc_order[0]])
 
     def mean(self) -> float:
-        return float(self.values.mean())
+        return self._mean
 
 
 _ENGINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -524,6 +539,21 @@ def conditional_mean_above(model: JointScoreModel, tau: float) -> float:
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must be in [0, 1), got {tau}")
     return _engine(model).cond_mean_above(tau)
+
+
+def conditional_mean_above_grid(model: JointScoreModel, taus: np.ndarray) -> np.ndarray:
+    """conditional_mean_above at every tau of an array in [0, 1]; corpora only.
+
+    Bitwise equal to the scalar call wherever the tail holds a record; NaN
+    where it holds none (always at tau = 1).
+    """
+    eng = _engine(model)
+    if not isinstance(eng, _EmpiricalEngine):
+        raise TypeError("tail means on a grid need an empirical corpus")
+    taus = np.asarray(taus, dtype=float)
+    if not ((taus >= 0.0) & (taus <= 1.0)).all():
+        raise ValueError("taus must lie in [0, 1]")
+    return eng.cond_mean_above_grid(taus)
 
 
 def conditional_mean_at(

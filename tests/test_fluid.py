@@ -119,6 +119,41 @@ def test_score_optimal_empirical_grid_path():
     assert abs(tau - TAU_SCORE_UNIFORM) < 0.02  # sampling noise only
 
 
+def _grid_score_optimal_loop(model, params, grid_size):
+    """Reference: the empirical score-optimal grid solve as one Python loop."""
+    if params.p0 == 0:
+        return 1.0
+    n = model.true_scores.values.size if isinstance(model, sm.Analytic) else model.predicted.size
+    best_tau, best_val = None, -np.inf
+    for t in np.linspace(0.0, 1.0, grid_size):
+        t = float(t)
+        if t < 1.0 and sm.flagged_count(n, t) == 0:
+            continue  # no records in the tail at this grid point
+        val = fl.fluid_efficacy(t, model, params)
+        if val > best_val:  # strict improvement keeps the smallest tau on ties
+            best_tau, best_val = t, val
+    return best_tau
+
+
+@pytest.mark.parametrize("n", [5, 400])
+def test_score_optimal_grid_matches_loop(n):
+    rng = np.random.default_rng(n)
+    pred = np.round(rng.random(n), 1)  # tie-heavy predicted scores
+    true = np.round(np.clip(pred + 0.2 * rng.standard_normal(n), 0.0, 1.0), 1)
+    corpora = (
+        sm.EmpiricalJoint(pred, true, tie_seed=1),
+        sm.EmpiricalLabeled(pred, (rng.random(n) < pred).astype(float), tie_seed=2),
+        sm.Analytic(sm.EmpiricalScores(true)),
+    )
+    for corpus in corpora:
+        p0_bar = fl.critical_baseline(0.2, corpus, 0.5)
+        for p0 in (0.0, 0.5 * p0_bar, min(1.5 * p0_bar + 0.01, 0.5), 0.3, 0.5):
+            params = fl.BehavioralParams(p0, 0.5)
+            for grid_size in (2, 7, fl.DEFAULT_GRID):
+                got = fl.score_optimal_threshold(corpus, params, grid_size=grid_size)
+                assert got == _grid_score_optimal_loop(corpus, params, grid_size)
+
+
 # --- two-point threshold ------------------------------------------------------------
 
 
@@ -164,6 +199,62 @@ def test_critical_baseline_self_consistency(mixture_perfect):
     tau_score = fl.score_optimal_threshold(mixture_perfect, params)
     tau_c = fl.capacity_matching_threshold(0.2, params)
     assert abs(tau_score - tau_c) <= 1e-3
+
+
+def _critical_baseline_nested(rho, model, delta_p):
+    """Reference: bisection on tau_score(p0) - tau_c(p0), one score-optimal solve per step."""
+    p_max = 1.0 - delta_p
+
+    def diff(p0):
+        params = fl.BehavioralParams(p0, delta_p)
+        return fl.score_optimal_threshold(model, params) - fl.capacity_matching_threshold(
+            rho, params
+        )
+
+    if diff(0.0) <= 0.0:
+        return 0.0
+    if diff(p_max) > 0.0:
+        return p_max
+    lo, hi = 0.0, p_max
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if diff(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_critical_baseline_matches_nested_bisection(
+    uniform_perfect, mixture_perfect, mixture_noisy
+):
+    # (1e-17, 0.5): tau_c(0) rounds to 1, so the threshold binds at p0 = 0
+    # (0.99, 0.6): it never binds, so the result is 1 - delta_p
+    cases = ((0.2, 0.5), (0.35, 0.3), (0.99, 0.6), (1e-17, 0.5))
+    for model in (uniform_perfect, mixture_perfect, mixture_noisy):
+        for rho, dp in cases:
+            got = fl.critical_baseline(rho, model, dp)
+            assert abs(got - _critical_baseline_nested(rho, model, dp)) <= 1e-8
+    assert fl.critical_baseline(1e-17, mixture_perfect, 0.5) == 0.0
+    assert fl.critical_baseline(0.99, mixture_perfect, 0.6) == pytest.approx(0.4)
+
+
+def test_critical_baseline_one_level_of_root_finding(monkeypatch):
+    model = sm.Analytic(sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))))
+    calls = []
+    foc = fl.first_order_condition
+
+    def counting_foc(*args):
+        calls.append(args)
+        return foc(*args)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("critical_baseline ran a score-optimal solve")
+
+    monkeypatch.setattr(fl, "first_order_condition", counting_foc)
+    monkeypatch.setattr(fl, "score_optimal_threshold", no_solve)
+    fl.critical_baseline(0.2, model, 0.5)
+    assert 0 < len(calls) <= 40
 
 
 # --- max relative gap ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from capthresh import score_model as sm
 
@@ -51,6 +52,21 @@ def test_labeled_outcomes_binary():
 def test_noise_on_empirical_scores_rejected():
     with pytest.raises(ValueError):
         sm.Analytic(sm.EmpiricalScores([0.1, 0.9]), sm.GaussianNoiseClipped(0.1))
+
+
+def test_mixture_cdf_bitwise_equals_scipy_stats():
+    x = np.concatenate([np.linspace(-0.5, 1.5, 4001), [0.0, 1.0, np.nan]])
+    small_shapes = sm.BetaMixture(((0.4, 0.5, 0.7), (0.6, 3.0, 0.3)))
+    for mix in (MIX, small_shapes):
+        ref = np.zeros_like(x)
+        for w, a, b in mix.components:
+            ref += w * stats.beta.cdf(x, a, b)
+        assert np.array_equal(mix.cdf(x), ref, equal_nan=True)
+        for xi in (0.0, 0.37, 1.0, np.nan):  # scalar inputs take the same path
+            assert np.array_equal(
+                mix.cdf(xi), sum(w * stats.beta.cdf(xi, a, b) for w, a, b in mix.components),
+                equal_nan=True,
+            )
 
 
 # --- mean_true_score ----------------------------------------------------------
@@ -121,6 +137,23 @@ def test_cma_empty_tail_error():
     model = sm.EmpiricalJoint(np.array([0.2, 0.8]), np.array([0.2, 0.8]))
     with pytest.raises(ValueError, match="empty tail"):
         sm.conditional_mean_above(model, 0.75)
+
+
+def test_cma_grid_matches_scalar_calls():
+    rng = np.random.default_rng(5)
+    pred = np.round(rng.random(37), 1)  # ties at every score
+    corpus = sm.EmpiricalJoint(pred, rng.random(37), tie_seed=3)
+    taus = np.linspace(0.0, 1.0, 201)
+    got = sm.conditional_mean_above_grid(corpus, taus)
+    for t, g in zip(taus, got):
+        if sm.flagged_count(37, float(t)) == 0:
+            assert math.isnan(g)
+        else:
+            assert g == sm.conditional_mean_above(corpus, float(t))
+    with pytest.raises(TypeError, match="empirical corpus"):
+        sm.conditional_mean_above_grid(sm.Analytic(sm.Uniform01()), taus)
+    with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+        sm.conditional_mean_above_grid(corpus, np.array([0.5, 1.5]))
 
 
 # --- conditional_mean_at -------------------------------------------------------
