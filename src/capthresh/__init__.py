@@ -56,11 +56,13 @@ from .score_model import (
     Population,
     Uniform01,
     conditional_mean_above,
+    conditional_mean_above_grid,
     conditional_mean_at,
     mean_true_score,
     predicted_quantile,
     sample_population,
     tpr_at,
+    tpr_grid,
 )
 from .simulate import (
     SimConfig,

@@ -64,8 +64,7 @@ def _apply_overrides(scn: sio.Scenario, args) -> sio.Scenario:
     if args.seed is not None:
         scn.doc["seed"] = args.seed
     if args.trials is not None:
-        if args.trials < 1:
-            raise ScenarioError("scenario.trials: must be >= 1")
+        sio.check_trials(args.trials)
         scn.doc["trials"] = args.trials
     if args.beta1 is not None:
         if not 0.0 <= args.beta1 <= 1.0:

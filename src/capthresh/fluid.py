@@ -255,17 +255,29 @@ def _empirical_score_optimal(
 ) -> float:
     """Grid argmax of fluid_efficacy, smallest tau on ties.
 
-    Same elementwise arithmetic as fluid_efficacy, so every grid value is
-    bitwise the scalar one.  Grid points below 1 with an empty tail are
-    skipped; at tau = 1 no one is flagged and the efficacy is E[r].
+    Every grid value is bitwise the scalar one.  Grid points below 1 with an
+    empty tail are skipped; at tau = 1 no one is flagged and the efficacy is
+    E[r].
     """
     taus = np.linspace(0.0, 1.0, grid_size)
+    return _grid_argmax(taus, _efficacy_grid(taus, model, params))
+
+
+def _efficacy_grid(taus: np.ndarray, model: JointScoreModel, params: BehavioralParams) -> np.ndarray:
+    """fluid_efficacy at every tau of a grid, with the same elementwise arithmetic.
+
+    NaN below tau = 1 where the tail is empty; E[r] where no one is flagged.
+    """
     er = mean_true_score(model)
     cma = conditional_mean_above_grid(model, taus)
     w = params.delta_p * (1.0 - taus)
-    vals = np.where(w == 0.0, er, (params.p0 * er + w * cma) / (params.p0 + w))
-    vals[(taus < 1.0) & np.isnan(cma)] = -np.inf
-    return float(taus[int(np.argmax(vals))])  # first max = smallest tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w == 0.0, er, (params.p0 * er + w * cma) / (params.p0 + w))
+
+
+def _grid_argmax(taus: np.ndarray, values: np.ndarray) -> float:
+    """The smallest tau attaining the maximum; NaN points (empty tails) are skipped."""
+    return float(taus[int(np.argmax(np.where(np.isnan(values), -np.inf, values)))])
 
 
 def two_point_threshold(rho: float, model: JointScoreModel, params: BehavioralParams) -> float:
@@ -357,10 +369,24 @@ def resolve_threshold(
     if isinstance(policy, TwoPointOptimal):
         return two_point_threshold(rho, model, params)
     if isinstance(policy, GridOracle):
-        taus = np.linspace(0.0, 1.0, policy.grid_size)
-        values = [fluid_objective(float(t), model, 1.0, rho, params) for t in taus]
-        return float(taus[int(np.argmax(values))])  # first max = smallest tau
+        return _grid_oracle_threshold(policy.grid_size, rho, model, params)
     raise TypeError(f"not a ThresholdPolicy: {policy!r}")
+
+
+def _grid_oracle_threshold(
+    grid_size: int, rho: float, model: JointScoreModel, params: BehavioralParams
+) -> float:
+    """Argmax of fluid_objective(tau, model, 1, rho) on the grid, smallest tau on ties.
+
+    Every grid value is bitwise the scalar one.  Grid points below 1 with an
+    empty tail are skipped.
+    """
+    if rho < 0:
+        raise ValueError("m must be nonnegative")
+    taus = np.linspace(0.0, 1.0, grid_size)
+    served = np.minimum(params.p0 + params.delta_p * (1.0 - taus), rho)
+    values = np.where(served == 0.0, 0.0, served * _efficacy_grid(taus, model, params))
+    return _grid_argmax(taus, values)
 
 
 def policy_label(policy: ThresholdPolicy) -> str:

@@ -28,7 +28,7 @@ from .fluid import (
     score_optimal_threshold,
     two_point_threshold,
 )
-from .score_model import JointScoreModel, mean_true_score, tpr_at
+from .score_model import JointScoreModel, mean_true_score, tpr_at, tpr_grid
 
 RHO_NODES = 201
 TAU_GRID = 2001
@@ -118,8 +118,7 @@ def auc_integral(model: JointScoreModel, grid_size: int = TAU_GRID) -> float:
     if not 0.0 < er < 1.0:
         raise ValueError("AUC undefined: mean true score must be in (0, 1)")
     taus = np.linspace(0.0, 1.0, grid_size)
-    tpr = np.array([_tpr(model, float(t)) for t in taus])
-    return float((np.trapezoid(tpr, taus) - er / 2.0) / (1.0 - er))
+    return float((np.trapezoid(tpr_grid(model, taus), taus) - er / 2.0) / (1.0 - er))
 
 
 def roc_curve(model: JointScoreModel, grid_size: int = TAU_GRID) -> list[tuple[float, float]]:
@@ -131,13 +130,10 @@ def roc_curve(model: JointScoreModel, grid_size: int = TAU_GRID) -> list[tuple[f
     er = mean_true_score(model)
     if not 0.0 < er < 1.0:
         raise ValueError("ROC undefined: mean true score must be in (0, 1)")
-    out = []
-    for t in np.linspace(0.0, 1.0, grid_size):
-        t = float(t)
-        tpr = _tpr(model, t)
-        fpr = ((1.0 - t) - tpr * er) / (1.0 - er)
-        out.append((min(max(fpr, 0.0), 1.0), min(max(tpr, 0.0), 1.0)))
-    return out
+    taus = np.linspace(0.0, 1.0, grid_size)
+    tpr = tpr_grid(model, taus)
+    fpr = ((1.0 - taus) - tpr * er) / (1.0 - er)
+    return list(zip(np.clip(fpr, 0.0, 1.0).tolist(), np.clip(tpr, 0.0, 1.0).tolist()))
 
 
 def _integrand(model: JointScoreModel, rho: float, params: BehavioralParams) -> tuple[float, float, float]:
@@ -192,7 +188,7 @@ def opauc_uniform_closed_form(
     t_lo = capacity_matching_threshold(hi, params)
     t_hi = capacity_matching_threshold(lo, params)
     taus = np.linspace(t_lo, t_hi, TAU_GRID)
-    vals = np.array([params.p0 + params.delta_p * _tpr(model, float(t)) for t in taus])
+    vals = params.p0 + params.delta_p * tpr_grid(model, taus)
     return float(params.delta_p / (hi - lo) * np.trapezoid(vals, taus))
 
 

@@ -49,6 +49,14 @@ SCHEMA_VERSION = 1
 DEFAULT_TRIALS = 8000
 DEFAULT_ORACLE_GRID = 21
 
+# Resource caps, checked at load time so that an absurd scenario exits 1
+# instead of exhausting memory or running for days.  A simulated trial holds
+# a few arrays of its cohort size, and per-trial results are kept for every
+# tau until the trials are averaged.
+MAX_POPULATION = 1_000_000  # population.n and each validate.n_values entry
+MAX_TRIALS = 200_000  # trials
+MAX_POPULATIONS = 100_000  # validate.populations
+
 
 class ScenarioError(ValueError):
     """Scenario parsing or validation failure; message names the field."""
@@ -349,6 +357,8 @@ def _validate_document(doc: dict, base_dir: Path) -> Scenario:
     n = _get(pop, "n", int, "population")
     if n < 1:
         _fail("population.n", "must be >= 1")
+    if n > MAX_POPULATION:
+        _fail("population.n", f"must be <= {MAX_POPULATION}")
     m = _get(pop, "m", int, "population", required=False)
     if m is not None and m < 0:
         _fail("population.m", "must be nonnegative")
@@ -404,8 +414,7 @@ def _validate_document(doc: dict, base_dir: Path) -> Scenario:
             _fail(f"beta1[{i}]", "must be a float in [0, 1]")
 
     doc.setdefault("trials", DEFAULT_TRIALS)
-    if _get(doc, "trials", int, "scenario") < 1:
-        _fail("scenario.trials", "must be >= 1")
+    check_trials(_get(doc, "trials", int, "scenario"))
     doc.setdefault("oracle_grid", DEFAULT_ORACLE_GRID)
     if _get(doc, "oracle_grid", int, "scenario") < 2:
         _fail("scenario.oracle_grid", "must be >= 2")
@@ -434,14 +443,27 @@ def _validate_document(doc: dict, base_dir: Path) -> Scenario:
         nv = _get(v, "n_values", list, "validate")
         if not nv or any(not isinstance(x, int) or x < 1 for x in nv):
             _fail("validate.n_values", "expected positive integers")
+        if max(nv) > MAX_POPULATION:
+            _fail("validate.n_values", f"each value must be <= {MAX_POPULATION}")
         v.setdefault("populations", 800)
-        if _get(v, "populations", int, "validate") < 1:
+        populations = _get(v, "populations", int, "validate")
+        if populations < 1:
             _fail("validate.populations", "must be >= 1")
+        if populations > MAX_POPULATIONS:
+            _fail("validate.populations", f"must be <= {MAX_POPULATIONS}")
 
     if "output_prefix" in doc:
         _get(doc, "output_prefix", str, "scenario")
 
     return Scenario(doc=doc, base_dir=base_dir)
+
+
+def check_trials(trials: int) -> None:
+    """The Monte Carlo budget must lie in [1, MAX_TRIALS]."""
+    if trials < 1:
+        _fail("scenario.trials", "must be >= 1")
+    if trials > MAX_TRIALS:
+        _fail("scenario.trials", f"must be <= {MAX_TRIALS}")
 
 
 def save_scenario(scenario: Scenario, path) -> None:

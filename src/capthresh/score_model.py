@@ -10,8 +10,10 @@ Model kinds:
 
 * :class:`Analytic` -- a continuous true-score law (:class:`Uniform01` or a
   :class:`BetaMixture`) observed either perfectly or through clipped Gaussian
-  noise.  Quantiles and conditional means come from Gauss-Legendre quadrature
-  against the true-score density, so they carry no sampling noise.
+  noise.  Perfect predictors use the law's closed-form cdf and partial first
+  moment; noisy ones integrate closed-form normal tails against the
+  true-score density by Gauss-Legendre quadrature.  Either way there is no
+  sampling noise, and quantiles are safeguarded Newton solves.
 * :class:`EmpiricalJoint` / :class:`EmpiricalLabeled` -- finite corpora of
   (predicted, true) or (predicted, outcome) records.  Conditional means are
   tail averages under the order-statistic quantile convention below.
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import betainc, ndtr, roots_legendre
+from scipy import stats
+from scipy.special import betainc, betaincc, betaln, ndtr, roots_legendre, xlog1py, xlogy
 
 QUAD_NODES = 2048
 
@@ -42,6 +44,18 @@ QUAD_NODES = 2048
 # analytic models.  Quadrature noise is ~1e-13, so truncation dominates and
 # the derivative is good to ~1e-8.
 _FD_STEP = 1e-4
+
+# Quantile solves start from interpolation in a cdf table on evenly spaced
+# points of [0, 1].  A closed-form cdf makes a fine table cheap, and most
+# solves then take one Newton step; a quadrature cdf gets a coarse one.
+_FINE_TABLE_POINTS = 4097
+_COARSE_TABLE_POINTS = 129
+_NEWTON_MAX_ITER = 100
+# Noisy-model quadrature runs over at most this many cutoffs at a time.  Its
+# temporaries are (block x QUAD_NODES) arrays of 128 KiB, small enough that
+# peak memory stays where it was with one cutoff at a time; blocks of 16 to
+# 64 were no faster and raised peak memory by 1 to 4 MB.
+_QUAD_BLOCK = 8
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -66,6 +80,72 @@ def flagged_count(n: int, tau: float) -> int:
     return n - min(max(cut, 0), n)
 
 
+def _cdf_table(cdf_and_density, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cdf on evenly spaced points of [0, 1], cut into cells for _invert_cdf.
+
+    Returns the cdf at the inner points, which delimit the cells, and one
+    column per cell: its ends lo and hi, the cdf at lo, the cdf increment dF,
+    and the two cubic Hermite slope terms dF / density - (hi - lo) at lo and
+    at hi (infinite where a density is 0).
+    """
+    x = np.linspace(0.0, 1.0, points)
+    f, d = cdf_and_density(x)
+    width, df = np.diff(x), np.diff(f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = np.array([x[:-1], x[1:], f[:-1], df, df / d[:-1] - width, df / d[1:] - width])
+    return f[1:-1], cells
+
+
+def _invert_cdf(cdf_and_density, u: np.ndarray, table, xtol: float) -> np.ndarray:
+    """Solve cdf(x) = u for each u, with x in [0, 1] and cdf nondecreasing.
+
+    Newton steps start from cubic Hermite interpolation of the inverse cdf in
+    ``table`` (linear where that leaves the cell) and stay inside a bracket
+    [lo, hi] with cdf(lo) <= u <= cdf(hi); a step that would leave it bisects
+    instead.  Every element stops on its own, once a step is at most
+    ``xtol``, so its value never depends on which other elements share the
+    call.
+    """
+    edges, cells = table
+    lo, hi, f0, df, bend0, bend1 = cells[:, edges.searchsorted(u, side="right")]
+    out = idx = None  # once some elements are done: the result, and where the rest go
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.fmin((u - f0) / df, 1.0)
+        s = 1.0 - t
+        linear = lo + t * (hi - lo)
+        x = linear + t * s * (s * bend0 - t * bend1)
+        x = np.where((x >= lo) & (x <= hi), x, linear)
+        for _ in range(_NEWTON_MAX_ITER):
+            f, d = cdf_and_density(x)
+            f = f - u
+            below = f < 0.0
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            new = x - f / d
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            done = abs(new - x) <= xtol
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
+                x = new
+                break
+            if n_done:
+                if idx is None:
+                    out, idx = np.empty_like(u), np.arange(u.size)
+                out[idx[done]] = new[done]
+                keep = ~done
+                idx, new, u, lo, hi = idx[keep], new[keep], u[keep], lo[keep], hi[keep]
+            x = new
+    if idx is None:
+        return x
+    out[idx] = x
+    return out
+
+
+def _as_output(x: np.ndarray):
+    """A 0-d result as a Python float, anything else as the array."""
+    return float(x) if x.ndim == 0 else x
+
+
 # ---------------------------------------------------------------------------
 # True-score distributions
 # ---------------------------------------------------------------------------
@@ -84,8 +164,13 @@ class Uniform01:
     def cdf(self, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def ppf(self, u: float) -> float:
-        return float(u)
+    def ppf(self, u):
+        return _as_output(np.array(u, dtype=float))
+
+    def upper_moment(self, q):
+        """Partial first moment: the integral of x f(x) over [q, 1]."""
+        q = np.asarray(q, dtype=float)
+        return 0.5 * (1.0 - q) * (1.0 + q)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random(n)
@@ -97,6 +182,8 @@ class BetaMixture:
 
     The cdf sums ``w * betainc(a, b, clip(x, 0, 1))`` per component, which is
     what ``scipy.stats.beta.cdf`` computes, without its per-call overhead.
+    The partial first moment is closed form too: a beta(a, b) variable times
+    its density is (a / (a + b)) times the beta(a + 1, b) density.
     """
 
     components: tuple[tuple[float, float, float], ...]
@@ -126,19 +213,44 @@ class BetaMixture:
         return out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        xc = np.clip(x, 0.0, 1.0)
+        xc = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), 1.0)
+        out = 0.0
         for w, a, b in self.components:
-            out += w * betainc(a, b, xc)
+            out = out + w * betainc(a, b, xc)
         return out
 
-    def ppf(self, u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return 1.0
-        return float(optimize.brentq(lambda x: float(self.cdf(x)) - u, 0.0, 1.0, xtol=1e-14))
+    @cached_property
+    def _log_norms(self) -> tuple[float, ...]:
+        return tuple(math.log(w) - betaln(a, b) if w > 0 else -math.inf for w, a, b in self.components)
+
+    def _cdf_and_density(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the density in closed form, for the Newton steps of ppf; pdf is the public one
+        density = 0.0
+        for (_, a, b), c in zip(self.components, self._log_norms):
+            density = density + np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) + c)
+        return self.cdf(x), density
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _cdf_table(self._cdf_and_density, _FINE_TABLE_POINTS)
+
+    def ppf(self, u):
+        """Quantile function, elementwise: 0 for u <= 0, 1 for u >= 1."""
+        u = np.asarray(u, dtype=float)
+        flat = u.reshape(-1)
+        x = np.minimum(np.maximum(flat, 0.0), 1.0)
+        inner = (flat > 0.0) & (flat < 1.0)
+        if np.count_nonzero(inner):
+            x[inner] = _invert_cdf(self._cdf_and_density, flat[inner], self._table, xtol=1e-14)
+        return _as_output(x.reshape(u.shape))
+
+    def upper_moment(self, q):
+        """Partial first moment: the integral of x f(x) over [q, 1]."""
+        q = np.minimum(np.maximum(np.asarray(q, dtype=float), 0.0), 1.0)
+        out = 0.0
+        for w, a, b in self.components:
+            out = out + w * a / (a + b) * betaincc(a + 1.0, b, q)
+        return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         weights = np.array([w for w, _, _ in self.components])
@@ -306,15 +418,46 @@ class Population:
 
 
 # ---------------------------------------------------------------------------
-# Analytic engines
+# Engines
 # ---------------------------------------------------------------------------
 
 
-class _PerfectEngine:
+class _Engine:
+    """Quantiles and tail means of one model, on 1-d arrays of tau.
+
+    Each engine implements ``quantile_grid`` and ``cond_mean_above_grid``
+    (NaN where the tail is empty, always at tau = 1).  The scalar methods
+    call them with a one-element array, so a grid value is bitwise the
+    scalar one.
+    """
+
+    def quantile(self, tau: float) -> float:
+        return float(self.quantile_grid(np.array([tau]))[0])
+
+    def cond_mean_above(self, tau: float) -> float:
+        out = float(self.cond_mean_above_grid(np.array([tau]))[0])
+        if math.isnan(out):
+            raise ValueError("empty tail")
+        return out
+
+
+def _memoized(cache: dict, solve, taus: np.ndarray) -> np.ndarray:
+    """solve(taus) elementwise, reusing values cached per tau and caching new ones."""
+    keys = taus.tolist()
+    out = [cache.get(t) for t in keys]
+    miss = [i for i, v in enumerate(out) if v is None]
+    if miss:
+        for i, v in zip(miss, solve(taus[miss]).tolist()):
+            cache[keys[i]] = out[i] = v
+    return np.array(out, dtype=float)
+
+
+class _PerfectEngine(_Engine):
     """Quantiles and conditional means when r_hat = r with a continuous law.
 
-    Both maps are pure in tau, so results are memoized per engine; sweeps
-    revisit the same tau grids constantly.
+    The tail mean is the law's closed-form partial first moment above the
+    quantile, divided by 1 - tau.  Both maps are pure in tau, so results are
+    memoized per engine; sweeps revisit the same tau grids constantly.
     """
 
     def __init__(self, dist: TrueScoreDistribution):
@@ -322,26 +465,17 @@ class _PerfectEngine:
         self._q_cache: dict[float, float] = {}
         self._cma_cache: dict[float, float] = {}
 
-    def quantile(self, tau: float) -> float:
-        q = self._q_cache.get(tau)
-        if q is None:
-            q = self._q_cache[tau] = self.dist.ppf(tau)
-        return q
+    def quantile_grid(self, taus: np.ndarray) -> np.ndarray:
+        return _memoized(self._q_cache, self.dist.ppf, taus)
 
-    def cond_mean_above(self, tau: float) -> float:
-        out = self._cma_cache.get(tau)
-        if out is not None:
-            return out
-        if tau == 0.0:
-            out = self.dist.mean()
-        else:
-            q = self.quantile(tau)
-            x, w = _leggauss01()
-            # integral of x f(x) over [q, 1], nodes mapped onto the tail
-            nodes = q + (1.0 - q) * x
-            integral = (1.0 - q) * float(np.sum(w * nodes * self.dist.pdf(nodes)))
-            out = integral / (1.0 - tau)
-        self._cma_cache[tau] = out
+    def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
+        return _memoized(self._cma_cache, self._cond_mean_above, taus)
+
+    def _cond_mean_above(self, taus: np.ndarray) -> np.ndarray:
+        moment = self.dist.upper_moment(self.quantile_grid(taus))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = moment / (1.0 - taus)
+        out[taus >= 1.0] = np.nan  # no one is flagged
         return out
 
     def cond_mean_at(self, tau: float) -> float:
@@ -351,12 +485,21 @@ class _PerfectEngine:
         return self.dist.ppf(1.0)
 
 
-class _NoisyEngine:
+def _upper_normal(z: np.ndarray) -> np.ndarray:
+    return 1.0 - ndtr(z)
+
+
+def _normal_kernel(z: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * z * z)
+
+
+class _NoisyEngine(_Engine):
     """Quantiles and conditional means for r_hat = clip(r + eps, 0, 1).
 
     All quantities are Gauss-Legendre integrals of closed-form normal tails
     against the true-score density; clipping shows up as atoms at 0 and 1
     that are split fractionally, matching the top-(1-tau) flagging rule.
+    Results are memoized per engine, as for perfect predictors.
     """
 
     def __init__(self, dist: TrueScoreDistribution, sigma: float):
@@ -369,54 +512,75 @@ class _NoisyEngine:
         self._q_cache: dict[float, float] = {}
         self._cma_cache: dict[float, float] = {}
 
-    def _cdf_hat(self, s: float) -> float:
+    def _quad(self, s: np.ndarray, *terms) -> list[np.ndarray]:
+        """sum_j weights_j * f((s_i - x_j) / sigma) at every cutoff s_i, for
+        each (weights, f) of terms, over blocks of cutoffs."""
+        outs = [np.empty(s.size) for _ in terms]
+        for i in range(0, s.size, _QUAD_BLOCK):
+            z = (s[i : i + _QUAD_BLOCK, None] - self._nodes) / self.sigma
+            for out, (weights, f) in zip(outs, terms):
+                out[i : i + _QUAD_BLOCK] = np.sum(weights * f(z), axis=1)
+        return outs
+
+    def _cdf_hat(self, s: np.ndarray) -> np.ndarray:
         # P(r + eps <= s); the r_hat law has atom P(. <= 0) at zero.
-        return float(np.sum(self._mass * ndtr((s - self._nodes) / self.sigma)))
+        return self._quad(s, (self._mass, ndtr))[0]
+
+    def _cdf_and_density(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cdf, kernel = self._quad(s, (self._mass, ndtr), (self._mass, _normal_kernel))
+        return cdf, kernel / (self.sigma * math.sqrt(2.0 * math.pi))
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _cdf_table(self._cdf_and_density, _COARSE_TABLE_POINTS)
 
     @cached_property
     def _atom_low(self) -> float:
-        return self._cdf_hat(0.0)
+        return float(self._cdf_hat(np.zeros(1))[0])
 
     @cached_property
     def _atom_high(self) -> float:
-        return 1.0 - self._cdf_hat(1.0)
+        return 1.0 - float(self._cdf_hat(np.ones(1))[0])
 
-    def quantile(self, tau: float) -> float:
-        q = self._q_cache.get(tau)
-        if q is not None:
-            return q
-        if tau <= self._atom_low:
-            q = 0.0
-        elif tau >= 1.0 - self._atom_high:
-            q = 1.0
-        else:
-            q = float(
-                optimize.brentq(lambda s: self._cdf_hat(s) - tau, 0.0, 1.0, xtol=1e-13)
-            )
-        self._q_cache[tau] = q
+    @cached_property
+    def _low_tail(self) -> tuple[float, float]:
+        # tail mass at q = 0: all of r_hat > 0, and the atom at zero
+        above = float(np.sum(self._node_values * ndtr(self._nodes / self.sigma)))
+        at_zero = float(np.sum(self._node_values * ndtr(-self._nodes / self.sigma)))
+        return above, at_zero
+
+    def quantile_grid(self, taus: np.ndarray) -> np.ndarray:
+        return _memoized(self._q_cache, self._quantiles, taus)
+
+    def _quantiles(self, taus: np.ndarray) -> np.ndarray:
+        q = np.where(taus <= self._atom_low, 0.0, 1.0)
+        inner = (taus > self._atom_low) & (taus < 1.0 - self._atom_high)
+        if inner.any():
+            q[inner] = _invert_cdf(self._cdf_and_density, taus[inner], self._table, xtol=1e-13)
         return q
 
-    def cond_mean_above(self, tau: float) -> float:
-        out = self._cma_cache.get(tau)
-        if out is not None:
-            return out
-        self._cma_cache[tau] = out = self._cond_mean_above_uncached(tau)
-        return out
+    def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
+        return _memoized(self._cma_cache, self._cond_mean_above, taus)
 
-    def _cond_mean_above_uncached(self, tau: float) -> float:
-        q = self.quantile(tau)
-        if q >= 1.0:
-            return self.cond_mean_top()
-        if q <= 0.0:
-            # Tail spans all of r_hat > 0 plus a fractional slice of the atom
-            # at zero (atom members are exchangeable).
-            above = float(np.sum(self._node_values * ndtr(self._nodes / self.sigma)))
-            at_zero = float(np.sum(self._node_values * ndtr(-self._nodes / self.sigma)))
+    def _cond_mean_above(self, taus: np.ndarray) -> np.ndarray:
+        q = self.quantile_grid(taus)
+        out = np.full(taus.shape, np.nan)
+        top = (q >= 1.0) & (taus < 1.0)
+        if top.any():
+            out[top] = self.cond_mean_top()
+        low = q <= 0.0
+        if low.any():
+            # The tail spans all of r_hat > 0 plus a fractional slice of the
+            # atom at zero (atom members are exchangeable).
+            above, at_zero = self._low_tail
             a0 = self._atom_low
-            slice_frac = (a0 - tau) / a0 if a0 > 0 else 0.0
-            return (above + slice_frac * at_zero) / (1.0 - tau)
-        tail = float(np.sum(self._node_values * (1.0 - ndtr((q - self._nodes) / self.sigma))))
-        return tail / (1.0 - tau)
+            slice_frac = (a0 - taus[low]) / a0 if a0 > 0 else 0.0
+            out[low] = (above + slice_frac * at_zero) / (1.0 - taus[low])
+        mid = (q > 0.0) & (q < 1.0)
+        if mid.any():
+            tail = self._quad(q[mid], (self._node_values, _upper_normal))[0]
+            out[mid] = tail / (1.0 - taus[mid])
+        return out
 
     def cond_mean_at(self, tau: float) -> float:
         # derivative identity: E[r | r_hat = q(tau)] = -d/dtau [(1-tau) E[r | r_hat >= q(tau)]]
@@ -432,7 +596,7 @@ class _NoisyEngine:
         return top / self._atom_high
 
 
-class _EmpiricalEngine:
+class _EmpiricalEngine(_Engine):
     """Order-statistic quantiles and tail means over a finite corpus."""
 
     def __init__(self, predicted: np.ndarray, values: np.ndarray, tie_seed: int):
@@ -442,28 +606,23 @@ class _EmpiricalEngine:
         tie = np.random.default_rng(tie_seed).permutation(self.n)
         # descending by predicted score, ties resolved by the permutation
         self.desc_order = np.lexsort((tie, -predicted))
-        self._values_desc_cum = np.cumsum(values[self.desc_order])
+        # sums of the top k values for k = 0..n
+        self._top_sums = np.zeros(self.n + 1)
+        np.cumsum(values[self.desc_order], out=self._top_sums[1:])
         self._pred_asc = predicted[self.desc_order][::-1]
         self._mean = float(values.mean())
 
-    def quantile(self, tau: float) -> float:
-        k = max(1, math.ceil(tau * self.n - 1e-9))
-        return float(self._pred_asc[min(k, self.n) - 1])
+    def _cut(self, taus: np.ndarray) -> np.ndarray:
+        # ceil(tau * n) with the flagged_count guard; in [0, n] for tau in [0, 1]
+        return np.ceil(taus * self.n - 1e-9).astype(np.int64)
 
-    def cond_mean_above(self, tau: float) -> float:
-        k = flagged_count(self.n, tau)
-        if k == 0:
-            raise ValueError("empty tail")
-        return float(self._values_desc_cum[k - 1]) / k
+    def quantile_grid(self, taus: np.ndarray) -> np.ndarray:
+        return self._pred_asc[np.maximum(self._cut(taus), 1) - 1]
 
     def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
-        """cond_mean_above at every tau of an array; NaN where the tail is empty."""
-        cut = np.clip(np.ceil(taus * self.n - 1e-9), 0, self.n).astype(np.int64)
-        k = self.n - cut
-        out = np.full(taus.shape, np.nan)
-        filled = k > 0
-        out[filled] = self._values_desc_cum[k[filled] - 1] / k[filled]
-        return out
+        k = self.n - self._cut(taus)
+        with np.errstate(invalid="ignore"):
+            return self._top_sums[k] / k  # 0 / 0 = NaN where the tail is empty
 
     def cond_mean_at(self, tau: float, bandwidth: float) -> float:
         lo = max(tau - bandwidth / 2.0, 0.0)
@@ -542,18 +701,22 @@ def conditional_mean_above(model: JointScoreModel, tau: float) -> float:
 
 
 def conditional_mean_above_grid(model: JointScoreModel, taus: np.ndarray) -> np.ndarray:
-    """conditional_mean_above at every tau of an array in [0, 1]; corpora only.
+    """conditional_mean_above at every tau of a 1-d array in [0, 1].
 
-    Bitwise equal to the scalar call wherever the tail holds a record; NaN
-    where it holds none (always at tau = 1).
+    Bitwise equal to the scalar call wherever the tail is nonempty; NaN where
+    it is empty (always at tau = 1).
     """
-    eng = _engine(model)
-    if not isinstance(eng, _EmpiricalEngine):
-        raise TypeError("tail means on a grid need an empirical corpus")
+    taus = _tau_grid(taus)
+    return _engine(model).cond_mean_above_grid(taus)
+
+
+def _tau_grid(taus) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("taus must be a 1-d array")
     if not ((taus >= 0.0) & (taus <= 1.0)).all():
         raise ValueError("taus must lie in [0, 1]")
-    return eng.cond_mean_above_grid(taus)
+    return taus
 
 
 def conditional_mean_at(
@@ -610,6 +773,24 @@ def tpr_at(model: JointScoreModel, tau: float) -> float:
     if er == 0.0:
         raise ValueError("no positives")
     return (1.0 - tau) * conditional_mean_above(model, tau) / er
+
+
+def tpr_grid(model: JointScoreModel, taus: np.ndarray) -> np.ndarray:
+    """tpr_at at every tau of a 1-d array in [0, 1]; 0 at tau = 1.
+
+    The same arithmetic on the same tail means, so bitwise equal to the
+    scalar call below tau = 1.  At tau = 1 no one is flagged.  Raises where
+    a tail below tau = 1 is empty.
+    """
+    taus = _tau_grid(taus)
+    er = mean_true_score(model)
+    if er == 0.0:
+        raise ValueError("no positives")
+    tpr = (1.0 - taus) * _engine(model).cond_mean_above_grid(taus) / er
+    tpr[taus == 1.0] = 0.0
+    if np.isnan(tpr).any():
+        raise ValueError("empty tail")
+    return tpr
 
 
 def sample_population(

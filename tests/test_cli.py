@@ -197,6 +197,17 @@ def test_infinite_beta_shape_rejected(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+def test_resource_caps_exit_1_with_field_path(tmp_path, capsys):
+    from capthresh.scenario import MAX_POPULATION, MAX_TRIALS
+
+    scn = _scenario(tmp_path, population={"n": MAX_POPULATION + 1, "m": 80})
+    assert cli.main(["simulate", "--scenario", str(scn)]) == 1
+    assert "population.n: must be <=" in capsys.readouterr().err
+    scn = _scenario(tmp_path)
+    assert cli.main(["simulate", "--scenario", str(scn), "--trials", str(MAX_TRIALS + 1)]) == 1
+    assert "scenario.trials: must be <=" in capsys.readouterr().err
+
+
 def test_exit_code_runtime_error(tmp_path, capsys):
     # delta_p = 0 makes the two-point threshold undefined at runtime
     scn = _scenario(tmp_path, behavioral={"p0": 0.2, "delta_p": 0.0})

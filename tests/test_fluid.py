@@ -154,6 +154,64 @@ def test_score_optimal_grid_matches_loop(n):
                 assert got == _grid_score_optimal_loop(corpus, params, grid_size)
 
 
+def _grid_oracle_loop(grid_size, rho, model, params):
+    """Reference: the grid oracle as one Python loop of fluid_objective calls.
+
+    Grid points whose tail is empty raise in fluid_objective; they are skipped.
+    """
+    best_tau, best_val = None, -np.inf
+    for t in np.linspace(0.0, 1.0, grid_size):
+        t = float(t)
+        try:
+            val = fl.fluid_objective(t, model, 1.0, rho, params)
+        except ValueError as e:
+            assert "empty tail" in str(e)
+            continue
+        if val > best_val:  # strict improvement keeps the smallest tau on ties
+            best_tau, best_val = t, val
+    return best_tau
+
+
+def _oracle_models():
+    """Factories, so that the grid and the loop side get separate caches."""
+    rng = np.random.default_rng(8)
+    pred = np.round(rng.random(500), 2)
+    true = np.clip(pred + 0.1 * rng.standard_normal(500), 0.0, 1.0)
+    outcomes = (rng.random(500) < true).astype(float)
+    mix = sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)))
+    return {
+        "uniform_perfect": lambda: sm.Analytic(sm.Uniform01()),
+        "mixture_perfect": lambda: sm.Analytic(mix),
+        "mixture_noisy": lambda: sm.Analytic(mix, sm.GaussianNoiseClipped(0.1)),
+        "joint_500": lambda: sm.EmpiricalJoint(pred, true, tie_seed=2),
+        "labeled_500": lambda: sm.EmpiricalLabeled(pred, outcomes),
+        "scores_500": lambda: sm.Analytic(sm.EmpiricalScores(true)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_models()))
+def test_grid_oracle_matches_loop(name):
+    make = _oracle_models()[name]
+    grid_model, loop_model = make(), make()
+    for p0 in (0.0, 0.1, 0.4):
+        params = fl.BehavioralParams(p0, 0.5)
+        for rho in (0.05, 0.2, 0.5):
+            for grid_size in (2, 7, fl.DEFAULT_GRID):
+                got = fl.resolve_threshold(fl.GridOracle(grid_size), rho, grid_model, params)
+                assert got == _grid_oracle_loop(grid_size, rho, loop_model, params)
+
+
+def test_grid_oracle_small_corpus_regression():
+    # 500 rows < 2001 grid points: the old loop raised "empty tail" near tau = 1
+    corpus = _oracle_models()["joint_500"]()
+    with pytest.raises(ValueError, match="empty tail"):
+        fl.fluid_objective(0.9999, corpus, 1.0, 0.2, P)
+    tau = fl.resolve_threshold(fl.GridOracle(2001), 0.2, corpus, P)
+    assert sm.flagged_count(500, tau) > 0
+    (pt,) = fl.gap_curve(fl.GridOracle(2001), axis="p0", grid=[0.1], model=corpus, params=P, rho=0.2)
+    assert pt.tau_policy == tau and pt.gap >= 0.0
+
+
 # --- two-point threshold ------------------------------------------------------------
 
 

@@ -111,6 +111,45 @@ def test_roc_monotone(mixture_noisy):
     assert all(b <= a + 1e-9 for a, b in zip(fpr, fpr[1:]))
 
 
+def _curve_models():
+    """Factories, so that the grid and the loop side get separate caches."""
+    mix = sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)))
+    scores = np.linspace(0.0, 1.0, 4000)  # more rows than TAU_GRID: no empty tail below 1
+    return {
+        "uniform_perfect": lambda: sm.Analytic(sm.Uniform01()),
+        "mixture_perfect": lambda: sm.Analytic(mix),
+        "mixture_noisy": lambda: sm.Analytic(mix, sm.GaussianNoiseClipped(0.1)),
+        "labeled_4000": lambda: sm.EmpiricalLabeled(scores, (scores > 0.7).astype(float)),
+    }
+
+
+def _tpr_loop(model, taus):
+    return [0.0 if t >= 1.0 else sm.tpr_at(model, float(t)) for t in taus]
+
+
+@pytest.mark.parametrize("name", sorted(_curve_models()))
+def test_tpr_curves_equal_scalar_loops(name):
+    make = _curve_models()[name]
+    grid_model, loop_model = make(), make()
+    er = sm.mean_true_score(loop_model)
+    taus = np.linspace(0.0, 1.0, mt.TAU_GRID)
+    tpr = np.array(_tpr_loop(loop_model, taus))
+    auc = float((np.trapezoid(tpr, taus) - er / 2.0) / (1.0 - er))
+    assert mt.auc_integral(grid_model) == auc
+    roc = []
+    taus = np.linspace(0.0, 1.0, 501)
+    for t, v in zip(taus, _tpr_loop(loop_model, taus)):
+        fpr = ((1.0 - t) - v * er) / (1.0 - er)
+        roc.append((min(max(fpr, 0.0), 1.0), min(max(v, 0.0), 1.0)))
+    assert mt.roc_curve(grid_model, 501) == roc
+    t_lo = fl.capacity_matching_threshold(0.5, P)
+    t_hi = fl.capacity_matching_threshold(0.3, P)
+    taus = np.linspace(t_lo, t_hi, mt.TAU_GRID)
+    vals = np.array([P.p0 + P.delta_p * v for v in _tpr_loop(loop_model, taus)])
+    closed = float(P.delta_p / 0.2 * np.trapezoid(vals, taus))
+    assert mt.opauc_uniform_closed_form(grid_model, 0.3, 0.5, P) == closed
+
+
 # --- opauc ---------------------------------------------------------------------------
 
 

@@ -71,6 +71,43 @@ def test_behavioral_invariant_names_field(tmp_path):
         sio.load_scenario(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("n", sio.MAX_POPULATION + 1, r"population\.n: must be <= "),
+        ("trials", sio.MAX_TRIALS + 1, r"scenario\.trials: must be <= "),
+        ("populations", sio.MAX_POPULATIONS + 1, r"validate\.populations: must be <= "),
+        ("n_values", [100, sio.MAX_POPULATION + 1], r"validate\.n_values: each value must be <= "),
+    ],
+)
+def test_resource_caps(tmp_path, field, value, path):
+    # loading allocates nothing of the capped sizes, so both sides of a cap are cheap
+    def doc_with(v):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["validate"] = {"n_values": [100], "populations": 10}
+        if field == "n":
+            doc["population"] = {"n": v, "m": 20}
+        elif field == "trials":
+            doc["trials"] = v
+        else:
+            doc["validate"][field] = v
+        return doc
+
+    with pytest.raises(sio.ScenarioError, match=path):
+        sio.load_scenario(_write(tmp_path, doc_with(value)))
+    at_cap = [100, sio.MAX_POPULATION] if field == "n_values" else value - 1
+    sio.load_scenario(_write(tmp_path, doc_with(at_cap)))
+
+
+def test_resource_caps_admit_demo_scenarios():
+    from pathlib import Path
+
+    scenarios = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+    for path in sorted(scenarios.glob("*.json")):
+        scn = sio.load_scenario(path)
+        assert scn.n <= sio.MAX_POPULATION and scn.trials <= sio.MAX_TRIALS
+
+
 def test_unknown_keys_rejected(tmp_path):
     doc = dict(MINIMAL, extra=1)
     with pytest.raises(sio.ScenarioError, match="unknown key"):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
+from scipy.special import betaln
 
 from capthresh import score_model as sm
 
@@ -150,10 +151,142 @@ def test_cma_grid_matches_scalar_calls():
             assert math.isnan(g)
         else:
             assert g == sm.conditional_mean_above(corpus, float(t))
-    with pytest.raises(TypeError, match="empirical corpus"):
-        sm.conditional_mean_above_grid(sm.Analytic(sm.Uniform01()), taus)
     with pytest.raises(ValueError, match="in \\[0, 1\\]"):
         sm.conditional_mean_above_grid(corpus, np.array([0.5, 1.5]))
+
+
+# --- closed forms and the one grid path ---------------------------------------------
+
+SMALL_SHAPES = sm.BetaMixture(((0.4, 0.5, 0.7), (0.6, 3.0, 0.3)))
+
+
+def _upper_moment_quad(dist, q):
+    """Adaptive quadrature of x f(x) over [q, 1]; beta components use the
+    algebraic weight (1 - x)^(b - 1), which carries the endpoint singularity."""
+    if isinstance(dist, sm.Uniform01):
+        return integrate.quad(lambda x: x, q, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
+    total = 0.0
+    for w, a, b in dist.components:
+        norm = math.exp(-betaln(a, b))
+        if q == 0.0:
+            val = integrate.quad(lambda x: norm, 0.0, 1.0, weight="alg", wvar=(a, b - 1.0))[0]
+        else:
+            val = integrate.quad(
+                lambda x: norm * x**a, q, 1.0, weight="alg", wvar=(0.0, b - 1.0),
+                epsabs=1e-14, epsrel=1e-13, limit=200,
+            )[0]
+        total += w * val
+    return total
+
+
+@pytest.mark.parametrize("dist", [sm.Uniform01(), MIX, SMALL_SHAPES], ids=["uniform", "demo", "small"])
+def test_upper_moment_matches_adaptive_quadrature(dist):
+    for q in (0.0, 1e-3, 0.05, 0.3, 0.5, 0.77, 0.95, 0.999, 1.0):
+        assert abs(float(dist.upper_moment(q)) - _upper_moment_quad(dist, q)) < 1e-12
+    assert float(dist.upper_moment(0.0)) == dist.mean()
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [MIX, SMALL_SHAPES, sm.BetaMixture(((1.0, 4000.0, 4000.0),)), sm.BetaMixture(((1.0, 1.0, 1.0),))],
+    ids=["demo", "small", "narrow", "flat"],
+)
+def test_mixture_ppf_inverts_cdf(dist):
+    u = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-12, 1 - 1e-12, -0.5, 1.5]])
+    x = dist.ppf(u)
+    inner = (u > 0.0) & (u < 1.0)
+    assert np.all(x[u <= 0.0] == 0.0) and np.all(x[u >= 1.0] == 1.0)
+    assert np.all(np.diff(x[:1001]) >= 0.0)
+    # within the 1e-14 solver tolerance of the root, in cdf units
+    resid = np.abs(dist.cdf(x[inner]) - u[inner])
+    assert np.all(resid <= 1e-15 + 1e-14 * dist.pdf(x[inner]))
+    for ui, xi in zip(u[::50], x[::50]):  # scalar calls: same values, as floats
+        got = dist.ppf(float(ui))
+        assert isinstance(got, float) and got == xi
+
+
+def _noisy_atoms(model):
+    eng = sm._engine(model)
+    return eng._atom_low, 1.0 - eng._atom_high
+
+
+def _grid_models():
+    """Factories, so that the grid and the scalar side get separate caches."""
+    rng = np.random.default_rng(9)
+    pred = np.round(rng.random(300), 2)  # ties
+    true = rng.random(300)
+    return {
+        "uniform_perfect": lambda: sm.Analytic(sm.Uniform01()),
+        "mixture_perfect": lambda: sm.Analytic(MIX),
+        "small_shapes_perfect": lambda: sm.Analytic(SMALL_SHAPES),
+        "mixture_noisy": lambda: sm.Analytic(MIX, sm.GaussianNoiseClipped(0.1)),
+        "uniform_noisy_wide": lambda: sm.Analytic(sm.Uniform01(), sm.GaussianNoiseClipped(0.4)),
+        "joint": lambda: sm.EmpiricalJoint(pred, true, tie_seed=4),
+        "labeled": lambda: sm.EmpiricalLabeled(pred, (true < pred).astype(float), tie_seed=5),
+        "scores": lambda: sm.Analytic(sm.EmpiricalScores(true)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_grid_models()))
+def test_grid_equals_scalar_bitwise(name):
+    make = _grid_models()[name]
+    grid_model, scalar_model = make(), make()
+    taus = np.linspace(0.0, 1.0, 257)
+    if isinstance(grid_model, sm.Analytic) and sm._is_noisy(grid_model.predictor):
+        low, high = _noisy_atoms(scalar_model)
+        extra = [0.5 * low, low, np.nextafter(low, 1.0), np.nextafter(high, 0.0), high, 0.5 * (1 + high)]
+        taus = np.concatenate([taus, extra])
+        assert 0.0 < low and high < 1.0
+    quantiles = sm._engine(grid_model).quantile_grid(taus)
+    tails = sm.conditional_mean_above_grid(grid_model, taus)
+    n = None if isinstance(grid_model, sm.Analytic) and not sm.is_empirical(grid_model) else 300
+    defined = np.array([n is None or sm.flagged_count(n, float(t)) > 0 for t in taus]) & (taus < 1.0)
+    tpr = sm.tpr_grid(grid_model, taus[defined])
+    for t, q in zip(taus, quantiles):
+        assert q == sm.predicted_quantile(scalar_model, float(t))
+    for t, c in zip(taus[defined], tails[defined]):
+        assert c == sm.conditional_mean_above(scalar_model, float(t))
+    for t, v in zip(taus[defined], tpr):
+        assert v == sm.tpr_at(scalar_model, float(t))
+    assert np.isnan(tails[~defined]).all()
+    assert sm.tpr_grid(grid_model, np.array([1.0]))[0] == 0.0
+    # a value does not depend on which other taus share the call
+    order = np.random.default_rng(1).permutation(taus.size)
+    assert np.array_equal(sm.conditional_mean_above_grid(make(), taus[order]), tails[order], equal_nan=True)
+
+
+def test_tpr_grid_empty_tail_error():
+    model = sm.EmpiricalJoint(np.array([0.2, 0.8]), np.array([0.2, 0.8]))
+    assert sm.tpr_grid(model, np.array([0.0, 0.5, 1.0])).tolist() == [1.0, 0.8, 0.0]
+    with pytest.raises(ValueError, match="empty tail"):
+        sm.tpr_grid(model, np.array([0.0, 0.75]))
+    with pytest.raises(ValueError, match="1-d"):
+        sm.conditional_mean_above_grid(model, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_auc_integral_work_count(monkeypatch, sigma):
+    from scipy import optimize
+
+    from capthresh import metrics as mt
+
+    calls = {"brentq": 0, "pdf": 0}
+    brentq, pdf = optimize.brentq, sm.BetaMixture.pdf
+
+    def counting_brentq(*args, **kwargs):
+        calls["brentq"] += 1
+        return brentq(*args, **kwargs)
+
+    def counting_pdf(self, x):
+        calls["pdf"] += 1
+        return pdf(self, x)
+
+    monkeypatch.setattr(optimize, "brentq", counting_brentq)
+    monkeypatch.setattr(sm.BetaMixture, "pdf", counting_pdf)
+    predictor = sm.Perfect() if sigma == 0.0 else sm.GaussianNoiseClipped(sigma)
+    mt.auc_integral(sm.Analytic(sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))), predictor))
+    assert calls["brentq"] == 0
+    assert calls["pdf"] < 100
 
 
 # --- conditional_mean_at -------------------------------------------------------
