@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .fluid import (
     BehavioralParams,
@@ -94,16 +93,37 @@ class SelectionReport:
     winner_by_opauc: str
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with each tie group sharing its mean rank.
+
+    The sorted positions start..end-1 of a tie group hold ranks start+1..end,
+    whose mean 0.5 * (start + end + 1) is a half-integer and so exact: the
+    result equals ``scipy.stats.rankdata(x)`` bit for bit.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def auc_rank(scores, labels) -> float:
-    """Mann-Whitney AUC with half credit for score ties."""
+    """Mann-Whitney AUC with half credit for score ties.
+
+    Raises ``ValueError`` for non-finite scores or labels, which have no rank.
+    """
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=float)
+    if not (np.isfinite(scores).all() and np.isfinite(labels).all()):
+        raise ValueError("AUC undefined: scores and labels must be finite")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: need at least one positive and one negative")
-    ranks = stats.rankdata(scores)  # average ranks handle ties
+    ranks = _average_ranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

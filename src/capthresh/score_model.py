@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 from scipy.special import betainc, betaincc, betaln, ndtr, roots_legendre, xlog1py, xlogy
 
 QUAD_NODES = 2048
@@ -206,6 +205,8 @@ class BetaMixture:
         return sum(w * a / (a + b) for w, a, b in self.components)
 
     def pdf(self, x):
+        from scipy import stats  # deferred: costly to import, and only noisy engines need it
+
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for w, a, b in self.components:

@@ -28,13 +28,13 @@ other n-1 request indicators.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand, resolve_threshold
 from .score_model import JointScoreModel, Population, flagged_count, sample_population
@@ -316,6 +316,8 @@ def grid_oracle(
 
 
 def _binom_pmf(k: int, p: float) -> np.ndarray:
+    from scipy import stats  # deferred: costly to import, and only the exact oracles need it
+
     if k == 0:
         return np.ones(1)
     return stats.binom.pmf(np.arange(k + 1), k, p)
@@ -350,8 +352,13 @@ def exact_service_rates(tau: float, n: int, m: int, params: BehavioralParams) ->
         raise ValueError("population too large for the exact oracle; use Monte Carlo")
     if m <= 0:
         return 0.0, 0.0
-    k = flagged_count(n, tau)
+    return _service_rates(flagged_count(n, tau), n, m, params)
 
+
+@functools.lru_cache(maxsize=64)
+def _service_rates(k: int, n: int, m: int, params: BehavioralParams) -> tuple[float, float]:
+    # Memoised: the rates depend on tau only through k and not on the cohort,
+    # so a validate run needs them once per cohort size, not once per cohort.
     def served_prob(pmf: np.ndarray) -> float:
         s = np.arange(pmf.size)
         return float(np.sum(np.minimum(m / (1.0 + s), 1.0) * pmf))

@@ -2,10 +2,15 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from capthresh import cli
+from capthresh import simulate as sim
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 def _scenario(tmp_path, **overrides):
@@ -138,6 +143,41 @@ def test_validate_convergence_table(tmp_path, capsys):
     rels = [float(r.split(",")[-1]) for r in rows[1:]]
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 0.01
+
+
+def test_validate_computes_exact_rates_once_per_input(tmp_path, capsys, monkeypatch):
+    # Three cohort sizes give three distinct (k, n, m, params) inputs; each
+    # needs two request-count convolutions of two binomial pmfs.
+    calls = []
+    binom_pmf = sim._binom_pmf
+
+    def counting_binom_pmf(k, p):
+        calls.append((k, p))
+        return binom_pmf(k, p)
+
+    monkeypatch.setattr(sim, "_binom_pmf", counting_binom_pmf)
+    sim._service_rates.cache_clear()
+    scn = _scenario(tmp_path, validate={"n_values": [100, 400, 1600], "populations": 10})
+    code, _ = _run(capsys, "validate", "--scenario", str(scn))
+    assert code == 0
+    assert len(calls) <= 12
+
+
+def test_plan_commands_leave_scipy_stats_unloaded(tmp_path, cli_env):
+    script = textwrap.dedent(f"""
+        import sys
+        import capthresh
+        from capthresh import cli
+        assert cli.execute(["threshold", "--scenario", {str(DEMO_SCENARIOS / "operating_point.json")!r}]) == 0
+        assert cli.execute(["sweep", "--scenario", {str(DEMO_SCENARIOS / "rho_sweep.json")!r},
+                            "--out", {str(tmp_path / "rho")!r}]) == 0
+        print("scipy.stats loaded:", "scipy.stats" in sys.modules)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy.stats loaded: False"
 
 
 def test_oracle_output(tmp_path, capsys):

@@ -51,6 +51,31 @@ def test_auc_rank_single_class_error():
         mt.auc_rank([0.1, 0.9], [1, 1])
 
 
+@pytest.mark.parametrize(
+    "scores, labels",
+    [([0.1, math.nan], [1, 0]), ([0.1, math.inf], [1, 0]), ([0.1, 0.9], [1.0, math.nan])],
+)
+def test_auc_rank_rejects_non_finite(scores, labels):
+    with pytest.raises(ValueError, match="finite"):
+        mt.auc_rank(scores, labels)
+
+
+def test_average_ranks_equal_rankdata_bitwise():
+    from scipy import stats
+
+    rng = np.random.default_rng(5)
+    cases = {
+        "distinct": rng.random(20_000),
+        "tie-heavy": np.round(rng.random(20_000), 3),
+        "all-equal": np.full(1000, 0.25),
+        "single": np.array([0.7]),
+        "clipped-noise": np.clip(rng.random(5000) + 0.3 * rng.standard_normal(5000), 0.0, 1.0),
+    }
+    for name, x in cases.items():
+        ours, ref = mt._average_ranks(x), stats.rankdata(x)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes(), name
+
+
 # --- auc_integral ------------------------------------------------------------------
 
 
