@@ -14,7 +14,6 @@ from .fluid import (
     BehavioralParams,
     CapacityMatching,
     Fixed,
-    FluidPoint,
     GridOracle,
     ScoreOptimal,
     ThresholdPolicy,
@@ -67,7 +66,6 @@ from .score_model import (
 from .simulate import (
     SimConfig,
     SimEstimate,
-    allocate_mixture,
     chernoff_demand_bound,
     exact_expected_served,
     exact_objective_random,

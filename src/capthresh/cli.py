@@ -20,6 +20,7 @@ written via write-then-rename, so failures leave no partial outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -61,18 +62,13 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(scn: sio.Scenario, args) -> sio.Scenario:
-    if args.seed is not None:
-        scn.doc["seed"] = args.seed
-    if args.trials is not None:
-        sio.check_trials(args.trials)
-        scn.doc["trials"] = args.trials
-    if args.beta1 is not None:
-        if not 0.0 <= args.beta1 <= 1.0:
-            raise ScenarioError("beta1[0]: must be a float in [0, 1]")
-        scn.doc["beta1"] = [args.beta1]
-    if args.out is not None:
-        scn.doc["output_prefix"] = args.out
-    return scn
+    given = {
+        "seed": args.seed, "trials": args.trials, "output_prefix": args.out,
+        "beta1": None if args.beta1 is None else [args.beta1],
+    }
+    return dataclasses.replace(
+        scn, **{k: sio.check_field(k, v) for k, v in given.items() if v is not None}
+    )
 
 
 def _require_point(scn: sio.Scenario) -> tuple[int, int]:
@@ -96,7 +92,7 @@ def _require_prefix(scn: sio.Scenario) -> str:
 def _cmd_threshold(scn: sio.Scenario, args) -> int:
     n, m = _require_point(scn)
     rho = m / n
-    model = scn.build_model()
+    model = scn.model.build()
     params = scn.behavioral
     tau_c = fluid.capacity_matching_threshold(rho, params)
     tau_score = fluid.score_optimal_threshold(model, params)
@@ -116,11 +112,11 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
     if sweep is None:
         raise ScenarioError("sweep: this subcommand needs a sweep block")
     prefix = _require_prefix(scn)
-    model = scn.build_model()
+    model = scn.model.build()
     params = scn.behavioral
     policies = scn.policies
-    grid = np.linspace(sweep["lo"], sweep["hi"], sweep["points"])
-    axis = sweep["axis"]
+    grid = np.linspace(sweep.lo, sweep.hi, sweep.points)
+    axis = sweep.axis
     rho = scn.m / scn.n if axis == "p0" else None
     curves = [
         fluid.gap_curve(p, axis=axis, grid=grid, model=model, params=params, rho=rho, n=scn.n)
@@ -128,7 +124,7 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
     ]
     # per grid point, every policy is simulated from one set of draws
     sims = [[(None, None)] * len(grid) for _ in policies]
-    if sweep["simulate"]:
+    if sweep.simulate:
         for j, x in enumerate(grid):
             x = float(x)
             if axis == "rho":
@@ -164,7 +160,7 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
 
 def _cmd_simulate(scn: sio.Scenario, args) -> int:
     n, m = _require_point(scn)
-    model = scn.build_model()
+    model = scn.model.build()
     params = scn.behavioral
     policies = scn.policies
     taus = [fluid.resolve_threshold(p, m / n, model, params) for p in policies]
@@ -195,7 +191,8 @@ def _cmd_opauc(scn: sio.Scenario, args) -> int:
         raise ScenarioError("mu: this subcommand needs a capacity distribution")
     prefix = _require_prefix(scn)
     params = scn.behavioral
-    cands = [metrics.AlgorithmCandidate(name, model) for name, model in scn.build_candidates()]
+    specs = scn.candidates or (("model", scn.model),)
+    cands = [metrics.AlgorithmCandidate(name, spec.build()) for name, spec in specs]
     if len(cands) >= 2:
         report = metrics.select_algorithm(cands, mu, params)
     else:
@@ -214,19 +211,22 @@ def _cmd_opauc(scn: sio.Scenario, args) -> int:
 def _cmd_validate(scn: sio.Scenario, args) -> int:
     n0, m0 = _require_point(scn)
     prefix = _require_prefix(scn)
-    model = scn.build_model()
+    model = scn.model.build()
     params = scn.behavioral
     rho = m0 / n0
-    vspec = scn.validate_spec
+    vspec = scn.validate
+    for nk in vspec.n_values:
+        if int(round(rho * nk)) == 0:
+            raise ScenarioError(f"validate.n_values: n={nk} at rho={rho} leaves no capacity")
     lines = ["n,method,fluid_w,estimate,abs_error,rel_error"]
     last_rel = float("nan")
-    for nk in vspec["n_values"]:
+    for nk in vspec.n_values:
         mk = int(round(rho * nk))
         tau_star = fluid.two_point_threshold(mk / nk, model, params)
         fluid_w = fluid.fluid_objective(tau_star, model, nk, mk, params)
         if nk <= sim.EXACT_BUDGET:
             method = "exact"
-            seeds = np.random.SeedSequence((scn.seed, nk)).spawn(vspec["populations"])
+            seeds = np.random.SeedSequence((scn.seed, nk)).spawn(vspec.populations)
             vals = [
                 sim.exact_objective_random(
                     sim.sample_population(model, nk, seed=s), tau_star, mk, params,
@@ -259,7 +259,7 @@ def _cmd_validate(scn: sio.Scenario, args) -> int:
 
 def _cmd_oracle(scn: sio.Scenario, args) -> int:
     n, m = _require_point(scn)
-    model = scn.build_model()
+    model = scn.model.build()
     cfg = sim.SimConfig(
         n=n, m=m, params=scn.behavioral, beta1=scn.beta1[0],
         trials=scn.trials, seed=scn.seed,

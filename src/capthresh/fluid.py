@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,57 +62,99 @@ class BehavioralParams:
             raise ValueError("p0 + delta_p must not exceed 1")
 
 
-@dataclass(frozen=True)
-class FluidPoint:
-    """Fluid quantities at one threshold."""
-
-    tau: float
-    n_served: float
-    r_per_slot: float
-    objective: float
-
-
 # --- threshold policies -----------------------------------------------------
 
 
+class ThresholdPolicy:
+    """A flagging-threshold rule; each subclass is one scenario policy kind.
+
+    A subclass is the single home of its kind.  It sets ``kind`` (its
+    scenario ``"kind"``), declares its scenario keys as dataclass fields
+    (``float`` or ``int``; a default makes a key optional), names the
+    offending field first in any ``__post_init__`` error, and implements
+    ``threshold(rho, model, params)``, its concrete tau at capacity ratio
+    rho.  The scenario parser finds it by ``kind`` among
+    ``ThresholdPolicy.__subclasses__()``.
+    """
+
+    kind: ClassVar[str]
+
+    @property
+    def label(self) -> str:
+        """Stable short name used in tables and CSV output."""
+        return self.kind
+
+
 @dataclass(frozen=True)
-class Fixed:
+class Fixed(ThresholdPolicy):
     """A threshold that never reacts to operational parameters."""
 
+    kind = "fixed"
     tau: float
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("fixed tau must be in [0, 1]")
+            raise ValueError("tau must be in [0, 1]")
+
+    @property
+    def label(self) -> str:
+        return f"fixed({self.tau:g})"
+
+    def threshold(self, rho, model, params):
+        return self.tau
 
 
 @dataclass(frozen=True)
-class CapacityMatching:
-    pass
+class CapacityMatching(ThresholdPolicy):
+    kind = "capacity_matching"
+
+    def threshold(self, rho, model, params):
+        return capacity_matching_threshold(rho, params)
 
 
 @dataclass(frozen=True)
-class ScoreOptimal:
-    pass
+class ScoreOptimal(ThresholdPolicy):
+    kind = "score_optimal"
+
+    def threshold(self, rho, model, params):
+        return score_optimal_threshold(model, params)
 
 
 @dataclass(frozen=True)
-class TwoPointOptimal:
-    pass
+class TwoPointOptimal(ThresholdPolicy):
+    kind = "two_point"
+
+    def threshold(self, rho, model, params):
+        return two_point_threshold(rho, model, params)
 
 
 @dataclass(frozen=True)
-class GridOracle:
+class GridOracle(ThresholdPolicy):
     """Argmax of the fluid objective on an evenly spaced tau grid."""
 
+    kind = "grid_oracle"
     grid_size: int = DEFAULT_GRID
 
     def __post_init__(self):
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
 
+    @property
+    def label(self) -> str:
+        return f"grid_oracle({self.grid_size})"
 
-ThresholdPolicy = Fixed | CapacityMatching | ScoreOptimal | TwoPointOptimal | GridOracle
+    def threshold(self, rho, model, params):
+        """Argmax of fluid_objective(tau, model, 1, rho) on the grid, smallest tau on ties.
+
+        Every grid value is bitwise the scalar one.  Grid points below 1 with
+        an empty tail are skipped.
+        """
+        if rho < 0:
+            raise ValueError("m must be nonnegative")
+        taus = np.linspace(0.0, 1.0, self.grid_size)
+        served = np.minimum(params.p0 + params.delta_p * (1.0 - taus), rho)
+        values = np.where(served == 0.0, 0.0, served * _efficacy_grid(taus, model, params))
+        return _grid_argmax(taus, values)
 
 
 @dataclass(frozen=True)
@@ -173,14 +216,6 @@ def fluid_objective(
     if served == 0.0:
         return 0.0
     return served * fluid_efficacy(tau, model, params)
-
-
-def fluid_point(
-    tau: float, model: JointScoreModel, n: float, m: float, params: BehavioralParams
-) -> FluidPoint:
-    served = fluid_served(tau, n, m, params)
-    r_slot = fluid_efficacy(tau, model, params) if served > 0.0 else 0.0
-    return FluidPoint(tau=tau, n_served=served, r_per_slot=r_slot, objective=served * r_slot)
 
 
 # --- score-optimal threshold ------------------------------------------------
@@ -360,48 +395,12 @@ def resolve_threshold(
     policy: ThresholdPolicy, rho: float, model: JointScoreModel, params: BehavioralParams
 ) -> float:
     """Turn a policy into a concrete tau at capacity ratio rho."""
-    if isinstance(policy, Fixed):
-        return policy.tau
-    if isinstance(policy, CapacityMatching):
-        return capacity_matching_threshold(rho, params)
-    if isinstance(policy, ScoreOptimal):
-        return score_optimal_threshold(model, params)
-    if isinstance(policy, TwoPointOptimal):
-        return two_point_threshold(rho, model, params)
-    if isinstance(policy, GridOracle):
-        return _grid_oracle_threshold(policy.grid_size, rho, model, params)
-    raise TypeError(f"not a ThresholdPolicy: {policy!r}")
-
-
-def _grid_oracle_threshold(
-    grid_size: int, rho: float, model: JointScoreModel, params: BehavioralParams
-) -> float:
-    """Argmax of fluid_objective(tau, model, 1, rho) on the grid, smallest tau on ties.
-
-    Every grid value is bitwise the scalar one.  Grid points below 1 with an
-    empty tail are skipped.
-    """
-    if rho < 0:
-        raise ValueError("m must be nonnegative")
-    taus = np.linspace(0.0, 1.0, grid_size)
-    served = np.minimum(params.p0 + params.delta_p * (1.0 - taus), rho)
-    values = np.where(served == 0.0, 0.0, served * _efficacy_grid(taus, model, params))
-    return _grid_argmax(taus, values)
+    return policy.threshold(rho, model, params)
 
 
 def policy_label(policy: ThresholdPolicy) -> str:
     """Stable short name used in tables and CSV output."""
-    if isinstance(policy, Fixed):
-        return f"fixed({policy.tau:g})"
-    if isinstance(policy, CapacityMatching):
-        return "capacity_matching"
-    if isinstance(policy, ScoreOptimal):
-        return "score_optimal"
-    if isinstance(policy, TwoPointOptimal):
-        return "two_point"
-    if isinstance(policy, GridOracle):
-        return f"grid_oracle({policy.grid_size})"
-    raise TypeError(f"not a ThresholdPolicy: {policy!r}")
+    return policy.label
 
 
 def gap_curve(

@@ -3,7 +3,12 @@
 A scenario is one JSON document (schema version 1) that drives every CLI
 subcommand: the score model, behavioral parameters, the operating point or a
 single sweep axis, the policies to compare, allocation mixes, Monte Carlo
-budget, and a mandatory seed.  Unknown keys are errors, not warnings, and no
+budget, and a mandatory seed.  :func:`load_scenario` reads it in one pass
+that checks and types each block once, fills in defaults and returns a frozen
+:class:`Scenario`; every error is a :class:`ScenarioError` that names the
+field.  Unknown keys are errors, not warnings; a JSON int is read as a float
+wherever a float is expected, and a bool is never read as a number.  Models
+are built, and corpus CSVs read, only by the command that uses them.  No
 randomness is ever drawn outside the declared seed, so a scenario file is a
 complete recipe for its outputs.
 
@@ -14,7 +19,7 @@ significant digits, line endings are LF, and the SVG writer is hand-rolled
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,15 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fluid import (
-    BehavioralParams,
-    CapacityMatching,
-    Fixed,
-    GridOracle,
-    ScoreOptimal,
-    ThresholdPolicy,
-    TwoPointOptimal,
-)
+from .fluid import BehavioralParams, ThresholdPolicy
 from .metrics import Atoms, CapacityDistribution, SelectionReport, UniformRatio
 from .score_model import (
     Analytic,
@@ -42,6 +39,7 @@ from .score_model import (
     GaussianNoiseClipped,
     JointScoreModel,
     Perfect,
+    Predictor,
     Uniform01,
 )
 
@@ -66,250 +64,129 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
-def _check_keys(obj: dict, allowed, path: str):
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        _fail(path, f"unknown key(s) {unknown}")
+_REQUIRED = dataclasses.MISSING  # so a policy field's dataclass default passes straight to _get
+_JSON_TYPES = {t.__name__: t for t in (bool, int, float, str)}
 
 
-def _get(obj: dict, key: str, types, path: str, required=True, default=None):
-    if key not in obj:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return default
-    val = obj[key]
+def _check(val, types, path: str, lo=None, hi=None):
+    """``val`` as JSON type ``types`` within [lo, hi]; an int is read as a float."""
     if types is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if not isinstance(val, types) or isinstance(val, bool) and types is not bool:
-        _fail(f"{path}.{key}", f"expected {getattr(types, '__name__', types)}")
+        _fail(path, "expected an object" if types is dict else f"expected {types.__name__}")
     if types is float and not math.isfinite(val):
-        _fail(f"{path}.{key}", "must be finite")
+        _fail(path, "must be finite")
+    if lo is not None and val < lo:
+        _fail(path, f"must be >= {lo}")
+    if hi is not None and val > hi:
+        _fail(path, f"must be <= {hi}")
     return val
 
 
-@dataclass(eq=False)
+def _get(obj: dict, key: str, types, path: str, default=_REQUIRED, lo=None, hi=None):
+    """``obj[key]`` checked as ``path.key``; a default makes the key optional."""
+    if key not in obj:
+        if default is _REQUIRED:
+            _fail(path, f"missing required key '{key}'")
+        return default
+    return _check(obj[key], types, f"{path}.{key}", lo, hi)
+
+
+def _keys(obj, allowed, path: str) -> dict:
+    """``obj`` as a JSON object with no keys beyond ``allowed``."""
+    _check(obj, dict, path)
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        _fail(path, f"unknown key(s) {unknown}")
+    return obj
+
+
+def _nonempty(val, path: str) -> list:
+    if not _check(val, list, path):
+        _fail(path, "must not be empty")
+    return val
+
+
+# Top-level fields a CLI flag can override; the loader checks them the same way.
+_FIELD_CHECKS = {
+    "seed": lambda v: _check(v, int, "scenario.seed", lo=0),
+    "trials": lambda v: _check(v, int, "scenario.trials", lo=1, hi=MAX_TRIALS),
+    "beta1": lambda v: tuple(
+        _check(b, float, f"beta1[{i}]", lo=0.0, hi=1.0)
+        for i, b in enumerate(_nonempty(v, "scenario.beta1"))
+    ),
+    "output_prefix": lambda v: _check(v, str, "scenario.output_prefix"),
+}
+
+
+def check_field(name: str, value):
+    """Check and type one overridable top-level field as load_scenario does."""
+    return _FIELD_CHECKS[name](value)
+
+
+# ---------------------------------------------------------------------------
+# The typed scenario
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A checked model block; ``build`` makes the model where a command uses it.
+
+    Analytic kinds carry their true-score law and predictor.  Empirical kinds
+    carry the corpus CSV, its mode and tie seed, and ``build`` reads the CSV.
+    """
+
+    true_scores: Uniform01 | BetaMixture | None = None
+    predictor: Predictor = Perfect()
+    csv: Path | None = None
+    mode: str = "joint"
+    tie_seed: int = 0
+
+    def build(self) -> JointScoreModel:
+        if self.csv is None:
+            return Analytic(self.true_scores, self.predictor)
+        model = load_empirical_csv(self.csv, self.mode)
+        return dataclasses.replace(model, tie_seed=self.tie_seed) if self.tie_seed else model
+
+
+@dataclass(frozen=True)
+class Sweep:
+    axis: str  # "rho" or "p0"
+    lo: float
+    hi: float
+    points: int
+    simulate: bool
+
+
+@dataclass(frozen=True)
+class Validate:
+    n_values: tuple[int, ...] = (100, 400, 1600)
+    populations: int = 800
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """A validated scenario document plus its directory for path resolution."""
+    """A checked scenario document with its defaults filled in."""
 
-    doc: dict
-    base_dir: Path
-
-    def __eq__(self, other):
-        return isinstance(other, Scenario) and self.doc == other.doc
-
-    # -- typed accessors ---------------------------------------------------
-
-    @property
-    def seed(self) -> int:
-        return self.doc["seed"]
-
-    @property
-    def trials(self) -> int:
-        return self.doc["trials"]
-
-    @property
-    def behavioral(self) -> BehavioralParams:
-        b = self.doc["behavioral"]
-        return BehavioralParams(b["p0"], b["delta_p"])
-
-    @property
-    def n(self) -> int:
-        return self.doc["population"]["n"]
-
-    @property
-    def m(self) -> int | None:
-        return self.doc["population"].get("m")
-
-    @property
-    def sweep(self) -> dict | None:
-        return self.doc.get("sweep")
-
-    @property
-    def beta1(self) -> tuple[float, ...]:
-        return tuple(self.doc["beta1"])
-
-    @property
-    def policies(self) -> tuple[ThresholdPolicy, ...]:
-        return tuple(_policy_from_spec(s) for s in self.doc["policies"])
-
-    @property
-    def oracle_grid(self) -> int:
-        return self.doc["oracle_grid"]
-
-    @property
-    def mu(self) -> CapacityDistribution | None:
-        spec = self.doc.get("mu")
-        return None if spec is None else _mu_from_spec(spec)
-
-    @property
-    def validate_spec(self) -> dict:
-        return self.doc.get("validate", {"n_values": [100, 400, 1600], "populations": 800})
-
-    @property
-    def output_prefix(self) -> str | None:
-        return self.doc.get("output_prefix")
-
-    def build_model(self) -> JointScoreModel:
-        return _model_from_spec(self.doc["model"], self.base_dir)
-
-    def build_candidates(self) -> list[tuple[str, JointScoreModel]]:
-        specs = self.doc.get("candidates")
-        if specs is None:
-            return [("model", self.build_model())]
-        return [(c["name"], _model_from_spec(c["model"], self.base_dir)) for c in specs]
+    seed: int
+    trials: int
+    behavioral: BehavioralParams
+    n: int
+    m: int | None  # None when the scenario sweeps rho
+    sweep: Sweep | None
+    beta1: tuple[float, ...]
+    policies: tuple[ThresholdPolicy, ...]
+    oracle_grid: int
+    mu: CapacityDistribution | None
+    validate: Validate
+    output_prefix: str | None
+    model: ModelSpec
+    candidates: tuple[tuple[str, ModelSpec], ...] | None
 
 
 # ---------------------------------------------------------------------------
-# Spec <-> object mappings
-# ---------------------------------------------------------------------------
-
-
-def _predictor_from_spec(spec: dict, path: str):
-    _check_keys(spec, {"kind", "sigma"}, path)
-    kind = _get(spec, "kind", str, path)
-    if kind == "perfect":
-        _check_keys(spec, {"kind"}, path)
-        return Perfect()
-    if kind == "gaussian_clipped":
-        sigma = _get(spec, "sigma", float, path)
-        if sigma < 0:
-            _fail(f"{path}.sigma", "must be nonnegative")
-        return GaussianNoiseClipped(sigma)
-    _fail(f"{path}.kind", f"unknown predictor kind '{kind}'")
-
-
-def _model_from_spec(spec: dict, base_dir: Path) -> JointScoreModel:
-    path = "model"
-    kind = _get(spec, "kind", str, path)
-    if kind in ("uniform", "beta_mixture"):
-        _check_keys(spec, {"kind", "components", "predictor"}, path)
-        pred_spec = spec.get("predictor", {"kind": "perfect"})
-        predictor = _predictor_from_spec(pred_spec, f"{path}.predictor")
-        if kind == "uniform":
-            return Analytic(Uniform01(), predictor)
-        comps = _get(spec, "components", list, path)
-        try:
-            return Analytic(BetaMixture(tuple(tuple(c) for c in comps)), predictor)
-        except (TypeError, ValueError) as e:
-            _fail(f"{path}.components", str(e))
-    if kind in ("empirical_joint", "empirical_labeled"):
-        _check_keys(spec, {"kind", "path", "tie_seed"}, path)
-        rel = _get(spec, "path", str, path)
-        csv_path = (base_dir / rel).resolve()
-        if not csv_path.is_file():
-            _fail(f"{path}.path", f"file not found: {csv_path}")
-        mode = "joint" if kind == "empirical_joint" else "labeled"
-        model = load_empirical_csv(csv_path, mode)
-        tie_seed = _get(spec, "tie_seed", int, path, required=False, default=0)
-        if tie_seed:
-            cls = type(model)
-            if mode == "joint":
-                model = cls(model.predicted, model.true, tie_seed=tie_seed)
-            else:
-                model = cls(model.predicted, model.outcomes, tie_seed=tie_seed)
-        return model
-    _fail(f"{path}.kind", f"unknown model kind '{kind}'")
-
-
-def _validate_model_spec(spec, path: str, base_dir: Path):
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
-    kind = _get(spec, "kind", str, path)
-    if kind == "uniform":
-        _check_keys(spec, {"kind", "predictor"}, path)
-    elif kind == "beta_mixture":
-        _check_keys(spec, {"kind", "components", "predictor"}, path)
-        comps = _get(spec, "components", list, path)
-        for i, c in enumerate(comps):
-            if not (isinstance(c, list) and len(c) == 3):
-                _fail(f"{path}.components[{i}]", "expected [weight, alpha, beta]")
-        try:
-            BetaMixture(tuple(tuple(c) for c in comps))
-        except ValueError as e:
-            _fail(f"{path}.components", str(e))
-    elif kind in ("empirical_joint", "empirical_labeled"):
-        _check_keys(spec, {"kind", "path", "tie_seed"}, path)
-        rel = _get(spec, "path", str, path)
-        csv_path = (base_dir / rel).resolve()
-        if not csv_path.is_file():
-            _fail(f"{path}.path", f"file not found: {csv_path}")
-        _get(spec, "tie_seed", int, path, required=False, default=0)
-    else:
-        _fail(f"{path}.kind", f"unknown model kind '{kind}'")
-    if "predictor" in spec:
-        _predictor_from_spec(spec["predictor"], f"{path}.predictor")
-        if kind in ("empirical_joint", "empirical_labeled"):
-            _fail(f"{path}.predictor", "empirical corpora carry their own predictions")
-
-
-_POLICY_KINDS = {"fixed", "capacity_matching", "score_optimal", "two_point", "grid_oracle"}
-
-
-def _policy_from_spec(spec: dict) -> ThresholdPolicy:
-    kind = spec["kind"]
-    if kind == "fixed":
-        return Fixed(spec["tau"])
-    if kind == "capacity_matching":
-        return CapacityMatching()
-    if kind == "score_optimal":
-        return ScoreOptimal()
-    if kind == "two_point":
-        return TwoPointOptimal()
-    return GridOracle(spec.get("grid_size", 2001))
-
-
-def _validate_policy_spec(spec, path: str):
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
-    kind = _get(spec, "kind", str, path)
-    if kind not in _POLICY_KINDS:
-        _fail(f"{path}.kind", f"unknown policy kind '{kind}'")
-    if kind == "fixed":
-        _check_keys(spec, {"kind", "tau"}, path)
-        tau = _get(spec, "tau", float, path)
-        if not 0.0 <= tau <= 1.0:
-            _fail(f"{path}.tau", "must be in [0, 1]")
-    elif kind == "grid_oracle":
-        _check_keys(spec, {"kind", "grid_size"}, path)
-        g = _get(spec, "grid_size", int, path, required=False, default=2001)
-        if g < 2:
-            _fail(f"{path}.grid_size", "must be >= 2")
-    else:
-        _check_keys(spec, {"kind"}, path)
-
-
-def _mu_from_spec(spec: dict) -> CapacityDistribution:
-    if spec["kind"] == "uniform_ratio":
-        return UniformRatio(spec["lo"], spec["hi"])
-    return Atoms(tuple(tuple(a) for a in spec["atoms"]))
-
-
-def _validate_mu_spec(spec, path: str):
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
-    kind = _get(spec, "kind", str, path)
-    if kind == "uniform_ratio":
-        _check_keys(spec, {"kind", "lo", "hi"}, path)
-        lo = _get(spec, "lo", float, path)
-        hi = _get(spec, "hi", float, path)
-        if not 0.0 <= lo < hi:
-            _fail(f"{path}.lo", "need 0 <= lo < hi")
-    elif kind == "atoms":
-        _check_keys(spec, {"kind", "atoms"}, path)
-        atoms = _get(spec, "atoms", list, path)
-        for i, a in enumerate(atoms):
-            if not (isinstance(a, list) and len(a) == 2):
-                _fail(f"{path}.atoms[{i}]", "expected [rho, weight]")
-        try:
-            Atoms(tuple(tuple(a) for a in atoms))
-        except ValueError as e:
-            _fail(f"{path}.atoms", str(e))
-    else:
-        _fail(f"{path}.kind", f"unknown mu kind '{kind}'")
-
-
-# ---------------------------------------------------------------------------
-# Scenario load / save
+# Scenario load
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {
@@ -319,7 +196,7 @@ _TOP_KEYS = {
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario document; defaults are filled in place."""
+    """Read a scenario document and check and type it in one pass."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -331,153 +208,180 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")
-    return _validate_document(doc, path.parent)
+    return _parse(doc, path.parent)
 
 
-def _validate_document(doc: dict, base_dir: Path) -> Scenario:
-    _check_keys(doc, _TOP_KEYS, "scenario")
+def _parse(doc: dict, base_dir: Path) -> Scenario:
+    _keys(doc, _TOP_KEYS, "scenario")
     version = _get(doc, "version", int, "scenario")
     if version != SCHEMA_VERSION:
         _fail("scenario.version", f"unsupported version {version}")
-    _get(doc, "seed", int, "scenario")
+    if "seed" not in doc:
+        _fail("scenario", "missing required key 'seed'")
+    seed = check_field("seed", doc["seed"])
 
-    beh = _get(doc, "behavioral", dict, "scenario")
-    _check_keys(beh, {"p0", "delta_p"}, "behavioral")
-    p0 = _get(beh, "p0", float, "behavioral")
-    dp = _get(beh, "delta_p", float, "behavioral")
-    if p0 < 0:
-        _fail("behavioral.p0", "must be nonnegative")
-    if dp < 0:
-        _fail("behavioral.delta_p", "must be nonnegative")
+    beh = _keys(_get(doc, "behavioral", dict, "scenario"), {"p0", "delta_p"}, "behavioral")
+    p0 = _get(beh, "p0", float, "behavioral", lo=0.0)
+    dp = _get(beh, "delta_p", float, "behavioral", lo=0.0)
     if p0 + dp > 1.0 + 1e-12:
         _fail("behavioral.delta_p", "p0 + delta_p must not exceed 1")
 
-    pop = _get(doc, "population", dict, "scenario")
-    _check_keys(pop, {"n", "m"}, "population")
-    n = _get(pop, "n", int, "population")
-    if n < 1:
-        _fail("population.n", "must be >= 1")
-    if n > MAX_POPULATION:
-        _fail("population.n", f"must be <= {MAX_POPULATION}")
-    m = _get(pop, "m", int, "population", required=False)
-    if m is not None and m < 0:
-        _fail("population.m", "must be nonnegative")
+    pop = _keys(_get(doc, "population", dict, "scenario"), {"n", "m"}, "population")
+    n = _get(pop, "n", int, "population", lo=1, hi=MAX_POPULATION)
+    m = _get(pop, "m", int, "population", default=None, lo=1)
 
-    _validate_model_spec(doc.get("model"), "model", base_dir)
-
-    sweep = doc.get("sweep")
+    model = _model(doc.get("model"), "model", base_dir)
+    sweep = _get(doc, "sweep", dict, "scenario", default=None)
     if sweep is not None:
-        _check_keys(sweep, {"axis", "lo", "hi", "points", "simulate"}, "sweep")
-        axis = _get(sweep, "axis", str, "sweep")
-        if axis not in ("rho", "p0"):
-            _fail("sweep.axis", "must be 'rho' or 'p0'")
-        lo = _get(sweep, "lo", float, "sweep")
-        hi = _get(sweep, "hi", float, "sweep")
-        points = _get(sweep, "points", int, "sweep")
-        if points < 2:
-            _fail("sweep.points", "must be >= 2")
-        if not lo < hi:
-            _fail("sweep.lo", "need lo < hi")
-        if axis == "rho":
-            if lo <= 0:
-                _fail("sweep.lo", "capacity ratios must be positive")
-            if m is not None:
-                _fail("population.m", "fix m or sweep rho, not both")
-        else:
-            if lo < 0 or hi + dp > 1.0 + 1e-12:
-                _fail("sweep.hi", "p0 grid must satisfy p0 + delta_p <= 1")
-            if m is None:
-                _fail("population.m", "p0 sweeps need a fixed m")
-        sweep.setdefault("simulate", False)
-        if not isinstance(sweep["simulate"], bool):
-            _fail("sweep.simulate", "expected bool")
+        sweep = _sweep(sweep, n, m, dp)
     elif m is None:
         _fail("population.m", "either fix m or declare a sweep")
 
-    doc.setdefault("policies", [{"kind": "two_point"}])
-    policies = _get(doc, "policies", list, "scenario")
-    if not policies:
-        _fail("scenario.policies", "must not be empty")
-    for i, spec in enumerate(policies):
-        _validate_policy_spec(spec, f"policies[{i}]")
-        if spec.get("kind") == "grid_oracle":
-            spec.setdefault("grid_size", 2001)
+    policies = _nonempty(doc.get("policies", [{"kind": "two_point"}]), "scenario.policies")
+    policies = tuple(_policy(spec, f"policies[{i}]") for i, spec in enumerate(policies))
+    beta1 = check_field("beta1", doc.get("beta1", [0.0]))
+    trials = check_field("trials", doc.get("trials", DEFAULT_TRIALS))
+    oracle_grid = _get(doc, "oracle_grid", int, "scenario", default=DEFAULT_ORACLE_GRID, lo=2)
+    mu = _mu(doc["mu"]) if "mu" in doc else None
 
-    doc.setdefault("beta1", [0.0])
-    beta1 = _get(doc, "beta1", list, "scenario")
-    if not beta1:
-        _fail("scenario.beta1", "must not be empty")
-    for i, b in enumerate(beta1):
-        if isinstance(b, int) and not isinstance(b, bool):
-            beta1[i] = b = float(b)
-        if not isinstance(b, float) or not 0.0 <= b <= 1.0:
-            _fail(f"beta1[{i}]", "must be a float in [0, 1]")
-
-    doc.setdefault("trials", DEFAULT_TRIALS)
-    check_trials(_get(doc, "trials", int, "scenario"))
-    doc.setdefault("oracle_grid", DEFAULT_ORACLE_GRID)
-    if _get(doc, "oracle_grid", int, "scenario") < 2:
-        _fail("scenario.oracle_grid", "must be >= 2")
-
-    if "mu" in doc:
-        _validate_mu_spec(doc["mu"], "mu")
-
+    candidates = None
     if "candidates" in doc:
-        cands = _get(doc, "candidates", list, "scenario")
-        if len(cands) < 1:
-            _fail("scenario.candidates", "must not be empty")
-        names = set()
-        for i, c in enumerate(cands):
-            if not isinstance(c, dict):
-                _fail(f"candidates[{i}]", "expected an object")
-            _check_keys(c, {"name", "model"}, f"candidates[{i}]")
+        candidates = []
+        for i, c in enumerate(_nonempty(doc["candidates"], "scenario.candidates")):
+            _keys(c, {"name", "model"}, f"candidates[{i}]")
             name = _get(c, "name", str, f"candidates[{i}]")
-            if name in names:
+            if any(name == seen for seen, _ in candidates):
                 _fail(f"candidates[{i}].name", f"duplicate candidate name '{name}'")
-            names.add(name)
-            _validate_model_spec(c.get("model"), f"candidates[{i}].model", base_dir)
+            candidates.append((name, _model(c.get("model"), f"candidates[{i}].model", base_dir)))
+        candidates = tuple(candidates)
 
+    validate = Validate()
     if "validate" in doc:
-        v = _get(doc, "validate", dict, "scenario")
-        _check_keys(v, {"n_values", "populations"}, "validate")
-        nv = _get(v, "n_values", list, "validate")
-        if not nv or any(not isinstance(x, int) or x < 1 for x in nv):
-            _fail("validate.n_values", "expected positive integers")
-        if max(nv) > MAX_POPULATION:
-            _fail("validate.n_values", f"each value must be <= {MAX_POPULATION}")
-        v.setdefault("populations", 800)
-        populations = _get(v, "populations", int, "validate")
-        if populations < 1:
-            _fail("validate.populations", "must be >= 1")
-        if populations > MAX_POPULATIONS:
-            _fail("validate.populations", f"must be <= {MAX_POPULATIONS}")
-
+        validate = _validate(_get(doc, "validate", dict, "scenario"))
+    output_prefix = None
     if "output_prefix" in doc:
-        _get(doc, "output_prefix", str, "scenario")
+        output_prefix = check_field("output_prefix", doc["output_prefix"])
 
-    return Scenario(doc=doc, base_dir=base_dir)
-
-
-def check_trials(trials: int) -> None:
-    """The Monte Carlo budget must lie in [1, MAX_TRIALS]."""
-    if trials < 1:
-        _fail("scenario.trials", "must be >= 1")
-    if trials > MAX_TRIALS:
-        _fail("scenario.trials", f"must be <= {MAX_TRIALS}")
+    return Scenario(
+        seed=seed, trials=trials, behavioral=BehavioralParams(p0, dp), n=n, m=m, sweep=sweep,
+        beta1=beta1, policies=policies, oracle_grid=oracle_grid, mu=mu, validate=validate,
+        output_prefix=output_prefix, model=model, candidates=candidates,
+    )
 
 
-def save_scenario(scenario: Scenario, path) -> None:
-    """Write the normalized document; load(save(s)) == s."""
-    path = Path(path)
-    ordered = {k: scenario.doc[k] for k in _FIELD_ORDER if k in scenario.doc}
-    payload = json.dumps(ordered, indent=2) + "\n"
-    _write_atomic(path, payload)
+def _predictor(spec, path: str) -> Predictor:
+    kind = _get(_check(spec, dict, path), "kind", str, path)
+    if kind == "perfect":
+        _keys(spec, {"kind"}, path)
+        return Perfect()
+    if kind == "gaussian_clipped":
+        _keys(spec, {"kind", "sigma"}, path)
+        return GaussianNoiseClipped(_get(spec, "sigma", float, path, lo=0.0))
+    _fail(f"{path}.kind", f"unknown predictor kind '{kind}'")
 
 
-_FIELD_ORDER = [
-    "version", "seed", "model", "behavioral", "population", "sweep", "policies",
-    "beta1", "trials", "mu", "candidates", "validate", "oracle_grid", "output_prefix",
-]
+def _model(spec, path: str, base_dir: Path) -> ModelSpec:
+    kind = _get(_check(spec, dict, path), "kind", str, path)
+    if kind in ("uniform", "beta_mixture"):
+        mixture_keys = ("components",) if kind == "beta_mixture" else ()
+        _keys(spec, {"kind", "predictor", *mixture_keys}, path)
+        predictor = _get(spec, "predictor", dict, path, default={"kind": "perfect"})
+        predictor = _predictor(predictor, f"{path}.predictor")
+        if kind == "uniform":
+            return ModelSpec(Uniform01(), predictor)
+        comps = _get(spec, "components", list, path)
+        for i, c in enumerate(comps):
+            if not (isinstance(c, list) and len(c) == 3) or any(isinstance(v, bool) for v in c):
+                _fail(f"{path}.components[{i}]", "expected [weight, alpha, beta]")
+        try:
+            return ModelSpec(BetaMixture(tuple(tuple(c) for c in comps)), predictor)
+        except (TypeError, ValueError) as e:
+            _fail(f"{path}.components", str(e))
+    if kind in ("empirical_joint", "empirical_labeled"):
+        _keys(spec, {"kind", "path", "tie_seed"}, path)
+        csv_path = (base_dir / _get(spec, "path", str, path)).resolve()
+        if not csv_path.is_file():
+            _fail(f"{path}.path", f"file not found: {csv_path}")
+        tie_seed = _get(spec, "tie_seed", int, path, default=0, lo=0)
+        return ModelSpec(csv=csv_path, mode=kind.removeprefix("empirical_"), tie_seed=tie_seed)
+    _fail(f"{path}.kind", f"unknown model kind '{kind}'")
+
+
+def _sweep(spec: dict, n: int, m: int | None, dp: float) -> Sweep:
+    _keys(spec, {"axis", "lo", "hi", "points", "simulate"}, "sweep")
+    axis = _get(spec, "axis", str, "sweep")
+    if axis not in ("rho", "p0"):
+        _fail("sweep.axis", "must be 'rho' or 'p0'")
+    lo = _get(spec, "lo", float, "sweep")
+    hi = _get(spec, "hi", float, "sweep")
+    points = _get(spec, "points", int, "sweep", lo=2)
+    simulate = _get(spec, "simulate", bool, "sweep", default=False)
+    if not lo < hi:
+        _fail("sweep.lo", "need lo < hi")
+    if axis == "rho":
+        if lo <= 0:
+            _fail("sweep.lo", "capacity ratios must be positive")
+        if simulate and int(round(lo * n)) == 0:
+            _fail("sweep.lo", f"rho={lo} leaves no capacity to simulate at n={n}")
+        if m is not None:
+            _fail("population.m", "fix m or sweep rho, not both")
+    else:
+        if lo < 0 or hi + dp > 1.0 + 1e-12:
+            _fail("sweep.hi", "p0 grid must satisfy p0 + delta_p <= 1")
+        if m is None:
+            _fail("population.m", "p0 sweeps need a fixed m")
+    return Sweep(axis, lo, hi, points, simulate)
+
+
+def _policy(spec, path: str) -> ThresholdPolicy:
+    """The policy class registered for the spec's kind, built from its dataclass fields."""
+    kind = _get(_check(spec, dict, path), "kind", str, path)
+    cls = {c.kind: c for c in ThresholdPolicy.__subclasses__()}.get(kind)
+    if cls is None:
+        _fail(f"{path}.kind", f"unknown policy kind '{kind}'")
+    fields = dataclasses.fields(cls)
+    _keys(spec, {"kind", *(f.name for f in fields)}, path)
+    values = {
+        f.name: _get(spec, f.name, _JSON_TYPES[f.type], path, default=f.default) for f in fields
+    }
+    try:
+        return cls(**values)
+    except ValueError as e:
+        name, _, why = str(e).partition(" ")  # policies name the offending field first
+        _fail(f"{path}.{name}", why)
+
+
+def _mu(spec) -> CapacityDistribution:
+    kind = _get(_check(spec, dict, "mu"), "kind", str, "mu")
+    if kind == "uniform_ratio":
+        _keys(spec, {"kind", "lo", "hi"}, "mu")
+        lo = _get(spec, "lo", float, "mu")
+        hi = _get(spec, "hi", float, "mu")
+        if not 0.0 <= lo < hi:
+            _fail("mu.lo", "need 0 <= lo < hi")
+        return UniformRatio(lo, hi)
+    if kind == "atoms":
+        _keys(spec, {"kind", "atoms"}, "mu")
+        atoms = _get(spec, "atoms", list, "mu")
+        for i, a in enumerate(atoms):
+            if not (isinstance(a, list) and len(a) == 2) or any(isinstance(v, bool) for v in a):
+                _fail(f"mu.atoms[{i}]", "expected [rho, weight]")
+        try:
+            return Atoms(tuple(tuple(a) for a in atoms))
+        except (TypeError, ValueError) as e:
+            _fail("mu.atoms", str(e))
+    _fail("mu.kind", f"unknown mu kind '{kind}'")
+
+
+def _validate(spec: dict) -> Validate:
+    _keys(spec, {"n_values", "populations"}, "validate")
+    nv = _get(spec, "n_values", list, "validate")
+    if not nv or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in nv):
+        _fail("validate.n_values", "expected positive integers")
+    if max(nv) > MAX_POPULATION:
+        _fail("validate.n_values", f"each value must be <= {MAX_POPULATION}")
+    populations = _get(spec, "populations", int, "validate", default=800, lo=1, hi=MAX_POPULATIONS)
+    return Validate(tuple(nv), populations)
 
 
 # ---------------------------------------------------------------------------
@@ -580,27 +484,6 @@ def write_sweep_csv(table: SweepTable, path) -> None:
             + "\n"
         )
     _write_atomic(Path(path), buf.getvalue())
-
-
-def read_sweep_csv(path) -> SweepTable:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ScenarioError(f"{Path(path).name}: bad sweep header")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        f = line.split(",")
-        rows.append(
-            SweepRow(
-                axis_value=float(f[0]), policy=f[1], tau=float(f[2]), fluid_w=float(f[3]),
-                sim_mean=float(f[4]) if f[4] else None,
-                sim_se=float(f[5]) if f[5] else None,
-                gap=float(f[6]), rel_gap=float(f[7]),
-            )
-        )
-    return SweepTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -625,17 +625,6 @@ class _EmpiricalEngine(_Engine):
         with np.errstate(invalid="ignore"):
             return self._top_sums[k] / k  # 0 / 0 = NaN where the tail is empty
 
-    def cond_mean_at(self, tau: float, bandwidth: float) -> float:
-        lo = max(tau - bandwidth / 2.0, 0.0)
-        hi = min(tau + bandwidth / 2.0, 1.0)
-        i_lo = max(1, math.ceil(lo * self.n - 1e-9))
-        i_hi = max(1, math.ceil(hi * self.n - 1e-9))
-        count = i_hi - i_lo + 1
-        if count < 2.0 / bandwidth:
-            raise ValueError("insufficient resolution")
-        asc_values = self.values[self.desc_order][::-1]
-        return float(asc_values[i_lo - 1 : i_hi].mean())
-
     def cond_mean_top(self) -> float:
         return float(self.values[self.desc_order[0]])
 
@@ -720,22 +709,19 @@ def _tau_grid(taus) -> np.ndarray:
     return taus
 
 
-def conditional_mean_at(
-    model: JointScoreModel, tau: float, bandwidth: float | None = None
-) -> float:
+def conditional_mean_at(model: JointScoreModel, tau: float) -> float:
     """E[r | r_hat = q(tau)], the density-point conditional mean.
 
     Analytic models are exact (perfect predictors) or use the derivative of
-    the tail mass ``(1-tau) * conditional_mean_above(tau)``.  Empirical models
-    average a quantile bin of width ``bandwidth`` (default 0.05); this path is
-    diagnostic only and never feeds threshold optimization.
+    the tail mass ``(1-tau) * conditional_mean_above(tau)``.  Empirical
+    models have no density point and raise ``ValueError``; no threshold
+    solver needs one for them.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    eng = _engine(model)
-    if isinstance(eng, _EmpiricalEngine):
-        return eng.cond_mean_at(tau, 0.05 if bandwidth is None else bandwidth)
-    return eng.cond_mean_at(tau)
+    if is_empirical(model):
+        raise ValueError("conditional_mean_at is undefined for empirical models")
+    return _engine(model).cond_mean_at(tau)
 
 
 def conditional_mean_top(model: JointScoreModel) -> float:

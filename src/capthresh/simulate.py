@@ -150,26 +150,6 @@ def _allocate(
     return np.concatenate([top, requesters[keep]])
 
 
-def allocate_mixture(
-    requesters, scores, m: int, beta1: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Serve min(m, #requesters) requesters via the beta1 mixture mechanism.
-
-    Stage 1 gives ``floor(beta1 * m)`` slots to the highest-scoring requesters
-    (ties randomized); stage 2 distributes the remaining slots uniformly at
-    random among requesters not served in stage 1.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    requesters = np.asarray(requesters)
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != requesters.shape:
-        raise ValueError("scores must align with requesters")
-    tie = rng.random(requesters.size)
-    lottery = rng.random(requesters.size)
-    return _allocate(requesters, scores, tie, lottery, int(m), beta1)
-
-
 def _pool_size(workers: int, trials: int) -> int:
     """Worker processes to start: never more than CPUs or trials."""
     return max(1, min(workers, os.cpu_count() or 1, trials))

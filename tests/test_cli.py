@@ -248,6 +248,83 @@ def test_resource_caps_exit_1_with_field_path(tmp_path, capsys):
     assert "scenario.trials: must be <=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"sweep": 3}, "scenario.sweep: expected an object"),
+        (
+            {"model": {"kind": "uniform", "predictor": 3}},
+            "model.predictor: expected an object",
+        ),
+    ],
+)
+def test_non_object_block_exits_1_with_field_path(tmp_path, capsys, overrides, message):
+    scn = _scenario(tmp_path, **overrides)
+    for command in ("threshold", "simulate"):
+        assert cli.main([command, "--scenario", str(scn)]) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_negative_seed_exits_1(tmp_path, capsys):
+    scn = _scenario(tmp_path, seed=-1)
+    for command in ("threshold", "simulate"):
+        assert cli.main([command, "--scenario", str(scn)]) == 1
+        assert "scenario.seed: must be >= 0" in capsys.readouterr().err
+    scn = _scenario(tmp_path)
+    assert cli.main(["simulate", "--scenario", str(scn), "--seed", "-3"]) == 1
+    assert "scenario.seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["threshold", "simulate", "oracle"])
+def test_zero_capacity_exits_1(tmp_path, capsys, command):
+    scn = _scenario(tmp_path, population={"n": 400, "m": 0})
+    assert cli.main([command, "--scenario", str(scn)]) == 1
+    assert "population.m: must be >= 1" in capsys.readouterr().err
+
+
+def test_rho_sweep_simulating_zero_capacity_exits_1(tmp_path, capsys):
+    # round(0.001 * 400) = 0 slots at the first grid point
+    sweep = {"axis": "rho", "lo": 0.001, "hi": 0.5, "points": 3, "simulate": True}
+    scn = _scenario(tmp_path, population={"n": 400}, sweep=sweep)
+    assert cli.main(["sweep", "--scenario", str(scn)]) == 1
+    assert "sweep.lo: rho=0.001 leaves no capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "m, n_values, commands, message",
+    [
+        # round(0.2 * 2) = 0; only validate uses the n values, so threshold still runs
+        (
+            80, [2], {"validate": 1, "threshold": 0},
+            "validate.n_values: n=2 at rho=0.2 leaves no capacity",
+        ),
+        # a bool is not n = 1
+        (
+            240, [True], {"validate": 1, "threshold": 1},
+            "validate.n_values: expected positive integers",
+        ),
+    ],
+)
+def test_validate_n_values_exit_1(tmp_path, capsys, m, n_values, commands, message):
+    scn = _scenario(
+        tmp_path, population={"n": 400, "m": m}, validate={"n_values": n_values, "populations": 5}
+    )
+    for command, code in commands.items():
+        assert cli.main([command, "--scenario", str(scn)]) == code
+        assert (message in capsys.readouterr().err) == (code == 1)
+
+
+def test_int_spelled_float_prints_as_float(tmp_path, capsys):
+    outs = []
+    for tau in (1, 1.0):
+        scn = _scenario(tmp_path, policies=[{"kind": "fixed", "tau": tau}], trials=20)
+        code, out = _run(capsys, "simulate", "--scenario", str(scn))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert " tau=1.0 " in outs[0]
+
+
 def test_exit_code_runtime_error(tmp_path, capsys):
     # delta_p = 0 makes the two-point threshold undefined at runtime
     scn = _scenario(tmp_path, behavioral={"p0": 0.2, "delta_p": 0.0})

@@ -77,12 +77,6 @@ def test_fluid_objective_motivating_example(uniform_perfect):
     assert fl.fluid_objective(0.6, uniform_perfect, 100, 20, P) == pytest.approx(14.0)
 
 
-def test_fluid_point_consistency(uniform_perfect):
-    pt = fl.fluid_point(0.8, uniform_perfect, 100, 20, P)
-    assert pt.objective == pytest.approx(pt.n_served * pt.r_per_slot, abs=1e-12)
-    assert pt.n_served <= min(100 * (P.p0 + P.delta_p), 20)
-
-
 # --- score-optimal threshold ------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -55,13 +56,46 @@ def test_minimal_scenario_defaults(tmp_path):
     assert scn.policies == (fl.TwoPointOptimal(),)
     assert scn.beta1 == (0.0,)
     assert scn.oracle_grid == 21
-    assert isinstance(scn.build_model(), sm.Analytic)
+    assert isinstance(scn.model.build(), sm.Analytic)
+    assert sio.load_scenario(_write(tmp_path, MINIMAL, "again.json")) == scn
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.seed = 4
 
 
 def test_grid_oracle_policy_default_grid(tmp_path):
     doc = dict(MINIMAL, policies=[{"kind": "grid_oracle"}])
     scn = sio.load_scenario(_write(tmp_path, doc))
     assert scn.policies == (fl.GridOracle(2001),)
+
+
+# Labels as sweep CSVs and simulate stdout print them; a new kind needs no entry.
+POLICY_LABELS = {
+    "fixed": "fixed(0.8)",
+    "capacity_matching": "capacity_matching",
+    "score_optimal": "score_optimal",
+    "two_point": "two_point",
+    "grid_oracle": "grid_oracle(2001)",
+}
+REQUIRED_POLICY_KEYS = {"fixed": {"tau": 0.8}}
+
+
+POLICY_CLASSES = {cls.kind: cls for cls in fl.ThresholdPolicy.__subclasses__()}
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_CLASSES))
+def test_policy_kind_parses_resolves_and_labels(tmp_path, kind):
+    cls = POLICY_CLASSES[kind]
+    home = f"policy kind '{kind}' lives in one place, class {cls.__name__} in capthresh/fluid.py"
+    # FIG5_BLOCK sits at the demo operating point
+    doc = dict(FIG5_BLOCK, policies=[{"kind": kind, **REQUIRED_POLICY_KEYS.get(kind, {})}])
+    scn = sio.load_scenario(_write(tmp_path, doc))
+    (policy,) = scn.policies
+    assert type(policy) is cls, f"{home}: the parser built {policy!r}"
+    tau = fl.resolve_threshold(policy, scn.m / scn.n, scn.model.build(), scn.behavioral)
+    assert 0.0 <= tau <= 1.0, f"{home}: its threshold() gave tau={tau}"
+    label = fl.policy_label(policy)
+    assert label.startswith(kind), f"{home}: its label {label!r} must start with the kind"
+    assert label == POLICY_LABELS.get(kind, label), f"{home}: its label changed to {label!r}"
 
 
 def test_behavioral_invariant_names_field(tmp_path):
@@ -108,6 +142,23 @@ def test_resource_caps_admit_demo_scenarios():
         assert scn.n <= sio.MAX_POPULATION and scn.trials <= sio.MAX_TRIALS
 
 
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        (
+            {"model": {"kind": "beta_mixture", "components": [[True, 2, 10]]}},
+            r"model\.components\[0\]",
+        ),
+        ({"mu": {"kind": "atoms", "atoms": [[0.2, True]]}}, r"mu\.atoms\[0\]"),
+        ({"policies": [{"kind": "fixed", "tau": True}]}, r"policies\[0\]\.tau: expected float"),
+        ({"population": {"n": True, "m": 1}}, r"population\.n: expected int"),
+    ],
+)
+def test_bool_is_never_a_number(tmp_path, change, path):
+    with pytest.raises(sio.ScenarioError, match=path):
+        sio.load_scenario(_write(tmp_path, dict(MINIMAL, **change)))
+
+
 def test_unknown_keys_rejected(tmp_path):
     doc = dict(MINIMAL, extra=1)
     with pytest.raises(sio.ScenarioError, match="unknown key"):
@@ -149,16 +200,6 @@ def test_missing_corpus_path(tmp_path):
         sio.load_scenario(_write(tmp_path, doc))
 
 
-def test_fig5_block_round_trips(tmp_path):
-    first = sio.load_scenario(_write(tmp_path, FIG5_BLOCK))
-    saved = tmp_path / "resaved.json"
-    sio.save_scenario(first, saved)
-    second = sio.load_scenario(saved)
-    assert first == second
-    sio.save_scenario(second, tmp_path / "resaved2.json")
-    assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "resaved2.json").read_bytes()
-
-
 def test_mu_and_candidates_blocks(tmp_path):
     doc = dict(
         MINIMAL,
@@ -176,7 +217,7 @@ def test_mu_and_candidates_blocks(tmp_path):
     )
     scn = sio.load_scenario(_write(tmp_path, doc))
     assert isinstance(scn.mu, mt.UniformRatio)
-    names = [name for name, _ in scn.build_candidates()]
+    names = [name for name, _ in scn.candidates]
     assert names == ["a", "b"]
 
 
@@ -251,28 +292,6 @@ def test_write_sweep_csv_one_row_exact_bytes(tmp_path):
     )
 
 
-def test_sweep_csv_write_read_write_idempotent(tmp_path):
-    rows = tuple(
-        sio.SweepRow(
-            axis_value=x, policy=p, tau=x / 2, fluid_w=np.pi * x,
-            sim_mean=x * 3.0, sim_se=x / 7.0, gap=x / 9.0, rel_gap=x / 11.0,
-        )
-        for x in (0.1, 0.2, 0.30000000000004)
-        for p in ("two_point", "fixed(0.8)")
-    )
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    sio.write_sweep_csv(sio.SweepTable(rows=rows), p1)
-    sio.write_sweep_csv(sio.read_sweep_csv(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_sweep_rows_sorted(tmp_path):
-    table = sio.SweepTable(rows=(_row(0.9), _row(0.1, "zzz"), _row(0.1, "aaa")))
-    assert [(r.axis_value, r.policy) for r in table.rows] == [
-        (0.1, "aaa"), (0.1, "zzz"), (0.9, "two_point"),
-    ]
-
-
 @given(
     xs=st.lists(
         st.floats(0.01, 0.99, allow_nan=False).map(lambda v: round(v, 6)),
@@ -285,8 +304,15 @@ def test_sweep_csv_round_trip_semantics(tmp_path_factory, xs):
     rows = tuple(_row(x) for x in xs)
     path = tmp / "t.csv"
     sio.write_sweep_csv(sio.SweepTable(rows=rows), path)
-    back = sio.read_sweep_csv(path)
-    assert [r.axis_value for r in back.rows] == sorted(xs)
+    back = [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+    assert back == sorted(xs)
+
+
+def test_sweep_rows_sorted(tmp_path):
+    table = sio.SweepTable(rows=(_row(0.9), _row(0.1, "zzz"), _row(0.1, "aaa")))
+    assert [(r.axis_value, r.policy) for r in table.rows] == [
+        (0.1, "aaa"), (0.1, "zzz"), (0.9, "two_point"),
+    ]
 
 
 # --- SVG ------------------------------------------------------------------------

@@ -313,18 +313,10 @@ def test_cm_at_noisy_matches_mc_finite_difference(uniform_noisy):
     assert abs(sm.conditional_mean_at(uniform_noisy, 0.5) - oracle) < 1e-2
 
 
-def test_cm_at_empirical_needs_resolution():
-    model = sm.EmpiricalJoint(np.linspace(0, 1, 20), np.linspace(0, 1, 20))
-    with pytest.raises(ValueError, match="insufficient resolution"):
-        sm.conditional_mean_at(model, 0.5, bandwidth=0.05)
-
-
-def test_cm_at_empirical_bin_average():
-    n = 10_000
-    values = np.linspace(0.0, 1.0, n)
-    model = sm.EmpiricalJoint(values, values)
-    est = sm.conditional_mean_at(model, 0.5, bandwidth=0.05)
-    assert est == pytest.approx(0.5, abs=0.01)
+def test_cm_at_empirical_raises():
+    values = np.linspace(0.0, 1.0, 10_000)
+    with pytest.raises(ValueError, match="undefined for empirical models"):
+        sm.conditional_mean_at(sm.EmpiricalJoint(values, values), 0.5)
 
 
 # --- tpr_at ---------------------------------------------------------------------

@@ -56,7 +56,14 @@ def test_top_k_flags_match_lexsort_prefix():
             assert np.array_equal(flags, expect)
 
 
-# --- allocate_mixture ----------------------------------------------------------
+# --- _allocate -----------------------------------------------------------------
+
+
+def _allocate(requesters, scores, m, beta1, rng):
+    # the trial kernel's draws: one tie key, then one lottery key per requester
+    tie = rng.random(requesters.size)
+    lottery = rng.random(requesters.size)
+    return sim._allocate(requesters, scores, tie, lottery, m, beta1)
 
 
 def test_allocate_random_uniform_rates():
@@ -66,7 +73,7 @@ def test_allocate_random_uniform_rates():
     counts = np.zeros(30)
     reps = 3000
     for i in range(reps):
-        served = sim.allocate_mixture(requesters, scores, 20, 0.0, np.random.default_rng(i))
+        served = _allocate(requesters, scores, 20, 0.0, np.random.default_rng(i))
         assert served.size == 20
         counts[served] += 1
     rates = counts / reps
@@ -77,7 +84,7 @@ def test_allocate_random_uniform_rates():
 def test_allocate_full_prioritization_slack_capacity():
     requesters = np.arange(7)
     scores = np.linspace(0, 1, 7)
-    served = sim.allocate_mixture(requesters, scores, 10, 1.0, np.random.default_rng(0))
+    served = _allocate(requesters, scores, 10, 1.0, np.random.default_rng(0))
     assert sorted(served) == list(range(7))
 
 
@@ -86,7 +93,7 @@ def test_allocate_mixture_split():
     requesters = np.arange(10)
     scores = np.arange(10) / 10.0
     for seed in range(50):
-        served = sim.allocate_mixture(requesters, scores, 5, 0.5, np.random.default_rng(seed))
+        served = _allocate(requesters, scores, 5, 0.5, np.random.default_rng(seed))
         assert served.size == 5
         assert {8, 9} <= set(served)  # two highest-scored always in
 
@@ -102,7 +109,7 @@ def test_allocate_conserves_capacity(n_req, m, beta1, seed):
     rng = np.random.default_rng(seed)
     requesters = np.arange(n_req)
     scores = rng.random(n_req)
-    served = sim.allocate_mixture(requesters, scores, m, beta1, rng)
+    served = _allocate(requesters, scores, m, beta1, rng)
     assert served.size == min(n_req, m)
     assert np.unique(served).size == served.size
     assert set(served) <= set(requesters)
