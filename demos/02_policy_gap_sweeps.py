@@ -28,13 +28,12 @@ policies = [
 def sweep_to_table(axis, grid, rho=None):
     rows = []
     for policy in policies:
-        label = ct.policy_label(policy)
         pts = ct.gap_curve(
             policy, axis=axis, grid=grid, model=model, params=params, rho=rho, n=1000
         )
         rows += [
             sio.SweepRow(
-                axis_value=p.x, policy=label, tau=p.tau_policy,
+                axis_value=p.x, policy=policy.label, tau=p.tau_policy,
                 fluid_w=p.objective_policy, sim_mean=None, sim_se=None,
                 gap=p.gap, rel_gap=p.rel_gap,
             )
@@ -64,4 +63,4 @@ cm = [r for r in p0_table.rows if r.policy == "capacity_matching"]
 zero_region = max((r.axis_value for r in cm if r.rel_gap <= 1e-9), default=None)
 print(f"  capacity-matching is exactly optimal up to p0 = {zero_region:.2f}")
 print(f"  (the critical baseline is p0_bar = {p0_bar:.4f}; beyond it the gap grows)")
-print(f"\nWrote {OUT / 'rho_sweep.csv'}, {OUT / 'p0_sweep.csv'} and matching SVGs.")
+print(f"\nWrote {OUT.name}/rho_sweep.csv, {OUT.name}/p0_sweep.csv and matching SVGs.")

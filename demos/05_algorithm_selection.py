@@ -49,4 +49,4 @@ for name, model in (("toprank", toprank), ("smooth", smooth)):
     print(f"  {name:8s}: {total:8.2f} expected served value")
 
 csv_path, json_path = sio.write_selection_report(report, OUT / "selection")
-print(f"\naudit tables written to {csv_path} and {json_path}")
+print(f"\naudit tables written to {csv_path.relative_to(OUT.parent)} and {json_path.relative_to(OUT.parent)}")

@@ -25,8 +25,6 @@ from .fluid import (
     fluid_served,
     gap_curve,
     max_relative_gap_capacity_matching,
-    policy_label,
-    resolve_threshold,
     score_optimal_threshold,
     two_point_threshold,
 )
@@ -48,7 +46,6 @@ from .score_model import (
     BetaMixture,
     EmpiricalJoint,
     EmpiricalLabeled,
-    EmpiricalScores,
     GaussianNoiseClipped,
     JointScoreModel,
     Perfect,

@@ -135,16 +135,15 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
                 n=scn.n, m=m, params=pt_params, beta1=scn.beta1[0],
                 trials=scn.trials, seed=scn.seed,
             )
-            taus = [fluid.resolve_threshold(p, m / scn.n, model, pt_params) for p in policies]
+            taus = [p.threshold(m / scn.n, model, pt_params) for p in policies]
             for i, est in enumerate(sim.simulate_taus(cfg, taus, model, workers=args.workers)):
                 sims[i][j] = (est.mean, est.std_error)
     rows = []
     for policy, points, sim_row in zip(policies, curves, sims):
-        label = fluid.policy_label(policy)
         for pt, (sim_mean, sim_se) in zip(points, sim_row):
             rows.append(
                 SweepRow(
-                    axis_value=pt.x, policy=label, tau=pt.tau_policy,
+                    axis_value=pt.x, policy=policy.label, tau=pt.tau_policy,
                     fluid_w=pt.objective_policy, sim_mean=sim_mean, sim_se=sim_se,
                     gap=pt.gap, rel_gap=pt.rel_gap,
                 )
@@ -163,7 +162,7 @@ def _cmd_simulate(scn: sio.Scenario, args) -> int:
     model = scn.model.build()
     params = scn.behavioral
     policies = scn.policies
-    taus = [fluid.resolve_threshold(p, m / n, model, params) for p in policies]
+    taus = [p.threshold(m / n, model, params) for p in policies]
     # all policies of one beta1 share one set of draws
     by_beta1 = [
         sim.simulate_taus(
@@ -176,7 +175,7 @@ def _cmd_simulate(scn: sio.Scenario, args) -> int:
         for b1, ests in zip(scn.beta1, by_beta1):
             est = ests[i]
             _emit(
-                policy=fluid.policy_label(policy), beta1=b1, tau=tau,
+                policy=policy.label, beta1=b1, tau=tau,
                 mean=est.mean, se=est.std_error, trials=est.trials,
                 served_flagged=est.served_flagged_mean,
                 served_unflagged=est.served_unflagged_mean,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .score_model import (
     JointScoreModel,
-    _cond_mean_at_boundary,
+    _engine,
     conditional_mean_above,
     conditional_mean_above_grid,
     conditional_mean_top,
@@ -237,7 +237,7 @@ def first_order_condition(model: JointScoreModel, params: BehavioralParams, tau:
     if tau >= 1.0:
         return -ratio * (conditional_mean_top(model) - er)
     cma = conditional_mean_above(model, tau)
-    cm_at = _cond_mean_at_boundary(model, tau)
+    cm_at = _engine(model).cond_mean_at(tau)
     return (1.0 - tau) * (cma - cm_at) - ratio * (cm_at - er)
 
 
@@ -388,19 +388,7 @@ def max_relative_gap_capacity_matching(
     return (r_star - er) / r_star
 
 
-# --- policy resolution and sweeps -------------------------------------------
-
-
-def resolve_threshold(
-    policy: ThresholdPolicy, rho: float, model: JointScoreModel, params: BehavioralParams
-) -> float:
-    """Turn a policy into a concrete tau at capacity ratio rho."""
-    return policy.threshold(rho, model, params)
-
-
-def policy_label(policy: ThresholdPolicy) -> str:
-    """Stable short name used in tables and CSV output."""
-    return policy.label
+# --- sweeps -----------------------------------------------------------------
 
 
 def gap_curve(
@@ -434,7 +422,7 @@ def gap_curve(
         m = pt_rho * n
         tau_star = two_point_threshold(pt_rho, model, pt_params)
         w_star = fluid_objective(tau_star, model, n, m, pt_params)
-        tau_pol = resolve_threshold(policy, pt_rho, model, pt_params)
+        tau_pol = policy.threshold(pt_rho, model, pt_params)
         w_pol = fluid_objective(tau_pol, model, n, m, pt_params)
         gap = w_star - w_pol
         if gap < -1e-7 * max(1.0, abs(w_star)):

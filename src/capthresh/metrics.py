@@ -128,10 +128,6 @@ def auc_rank(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def _tpr(model: JointScoreModel, tau: float) -> float:
-    return 0.0 if tau >= 1.0 else tpr_at(model, tau)
-
-
 def auc_integral(model: JointScoreModel, grid_size: int = TAU_GRID) -> float:
     """AUC from the TPR curve: (int TPR dtau - E[r]/2) / (1 - E[r])."""
     er = mean_true_score(model)
@@ -158,7 +154,7 @@ def roc_curve(model: JointScoreModel, grid_size: int = TAU_GRID) -> list[tuple[f
 
 def _integrand(model: JointScoreModel, rho: float, params: BehavioralParams) -> tuple[float, float, float]:
     tau_star = two_point_threshold(rho, model, params)
-    tpr = _tpr(model, tau_star)
+    tpr = tpr_at(model, tau_star)
     value = rho * (params.p0 + params.delta_p * tpr) / (
         params.p0 + params.delta_p * (1.0 - tau_star)
     )

@@ -17,8 +17,6 @@ Model kinds:
 * :class:`EmpiricalJoint` / :class:`EmpiricalLabeled` -- finite corpora of
   (predicted, true) or (predicted, outcome) records.  Conditional means are
   tail averages under the order-statistic quantile convention below.
-* ``Analytic(EmpiricalScores(...), Perfect())`` behaves like an empirical
-  corpus whose predictor reproduces the scores exactly.
 
 Empirical quantile convention: the tau-quantile is the ceil(tau*n)-th
 ascending order statistic, so the flagged set is exactly the top
@@ -267,28 +265,7 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalScores:
-    """A finite list of observed true scores in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _readonly(self.values)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("empirical score list must be a nonempty 1-d sequence")
-        if vals.min() < 0.0 or vals.max() > 1.0:
-            raise ValueError("empirical scores must lie in [0, 1]")
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.values, size=n, replace=True)
-
-
-TrueScoreDistribution = Uniform01 | BetaMixture | EmpiricalScores
+TrueScoreDistribution = Uniform01 | BetaMixture
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +294,6 @@ class GaussianNoiseClipped:
 Predictor = Perfect | GaussianNoiseClipped
 
 
-def _is_noisy(predictor: Predictor) -> bool:
-    return isinstance(predictor, GaussianNoiseClipped) and predictor.sigma > 0.0
-
-
 # ---------------------------------------------------------------------------
 # Joint models
 # ---------------------------------------------------------------------------
@@ -332,13 +305,6 @@ class Analytic:
 
     true_scores: TrueScoreDistribution
     predictor: Predictor = Perfect()
-
-    def __post_init__(self):
-        if isinstance(self.true_scores, EmpiricalScores) and _is_noisy(self.predictor):
-            raise ValueError(
-                "noise predictors need a continuous true-score law; "
-                "sample a corpus and add noise there instead"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,13 +390,16 @@ class Population:
 
 
 class _Engine:
-    """Quantiles and tail means of one model, on 1-d arrays of tau.
+    """The primitives of one model kind; ``_engine`` picks the kind.
 
-    Each engine implements ``quantile_grid`` and ``cond_mean_above_grid``
-    (NaN where the tail is empty, always at tau = 1).  The scalar methods
-    call them with a one-element array, so a grid value is bitwise the
-    scalar one.
+    Each engine implements ``quantile_grid`` and ``cond_mean_above_grid`` on
+    1-d arrays of tau (NaN where the tail is empty, always at tau = 1),
+    ``mean``, ``cond_mean_at`` for tau in [0, 1), ``cond_mean_top`` and
+    ``sample``.  The scalar methods call the grid ones with a one-element
+    array, so a grid value is bitwise the scalar one.
     """
+
+    empirical = False
 
     def quantile(self, tau: float) -> float:
         return float(self.quantile_grid(np.array([tau]))[0])
@@ -453,12 +422,19 @@ def _memoized(cache: dict, solve, taus: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-class _PerfectEngine(_Engine):
-    """Quantiles and conditional means when r_hat = r with a continuous law.
+def _population(rng: np.random.Generator, r: np.ndarray, r_hat: np.ndarray, binary_mode: bool) -> Population:
+    """A cohort whose outcomes, in binary mode, are Bernoulli(r) draws made last."""
+    y = (rng.random(r.size) < r).astype(float) if binary_mode else None
+    return Population(r=r, r_hat=r_hat, y=y)
 
-    The tail mean is the law's closed-form partial first moment above the
-    quantile, divided by 1 - tau.  Both maps are pure in tau, so results are
-    memoized per engine; sweeps revisit the same tau grids constantly.
+
+class _AnalyticEngine(_Engine):
+    """A continuous true-score law observed through a predictor.
+
+    Quantiles and tail means are pure in tau, so each is memoized per engine
+    and per tau; sweeps revisit the same tau grids constantly.  Subclasses
+    solve ``_quantiles`` and ``_cond_mean_above`` and observe a draw of true
+    scores in ``_observe``.
     """
 
     def __init__(self, dist: TrueScoreDistribution):
@@ -467,10 +443,25 @@ class _PerfectEngine(_Engine):
         self._cma_cache: dict[float, float] = {}
 
     def quantile_grid(self, taus: np.ndarray) -> np.ndarray:
-        return _memoized(self._q_cache, self.dist.ppf, taus)
+        return _memoized(self._q_cache, self._quantiles, taus)
 
     def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
         return _memoized(self._cma_cache, self._cond_mean_above, taus)
+
+    def mean(self) -> float:
+        return self.dist.mean()
+
+    def sample(self, rng: np.random.Generator, n: int, binary_mode: bool) -> Population:
+        r = self.dist.sample(rng, n)
+        return _population(rng, r, self._observe(rng, r), binary_mode)
+
+
+class _PerfectEngine(_AnalyticEngine):
+    """r_hat = r: the tail mean is the law's closed-form partial first moment
+    above the quantile, divided by 1 - tau."""
+
+    def _quantiles(self, taus: np.ndarray) -> np.ndarray:
+        return self.dist.ppf(taus)
 
     def _cond_mean_above(self, taus: np.ndarray) -> np.ndarray:
         moment = self.dist.upper_moment(self.quantile_grid(taus))
@@ -485,6 +476,9 @@ class _PerfectEngine(_Engine):
     def cond_mean_top(self) -> float:
         return self.dist.ppf(1.0)
 
+    def _observe(self, rng: np.random.Generator, r: np.ndarray) -> np.ndarray:
+        return r
+
 
 def _upper_normal(z: np.ndarray) -> np.ndarray:
     return 1.0 - ndtr(z)
@@ -494,24 +488,31 @@ def _normal_kernel(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z)
 
 
-class _NoisyEngine(_Engine):
-    """Quantiles and conditional means for r_hat = clip(r + eps, 0, 1).
+class _NoisyEngine(_AnalyticEngine):
+    """r_hat = clip(r + eps, 0, 1) with eps ~ Normal(0, sigma^2).
 
     All quantities are Gauss-Legendre integrals of closed-form normal tails
     against the true-score density; clipping shows up as atoms at 0 and 1
     that are split fractionally, matching the top-(1-tau) flagging rule.
-    Results are memoized per engine, as for perfect predictors.
+    The density on the nodes is computed on first use, so sampling a cohort
+    or reading E[r] never evaluates it.
     """
 
     def __init__(self, dist: TrueScoreDistribution, sigma: float):
-        self.dist = dist
+        super().__init__(dist)
         self.sigma = sigma
-        x, w = _leggauss01()
-        self._nodes = x
-        self._mass = w * dist.pdf(x)
-        self._node_values = self._mass * x
-        self._q_cache: dict[float, float] = {}
-        self._cma_cache: dict[float, float] = {}
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        return _leggauss01()[0]
+
+    @cached_property
+    def _mass(self) -> np.ndarray:
+        return _leggauss01()[1] * self.dist.pdf(self._nodes)
+
+    @cached_property
+    def _node_values(self) -> np.ndarray:
+        return self._mass * self._nodes
 
     def _quad(self, s: np.ndarray, *terms) -> list[np.ndarray]:
         """sum_j weights_j * f((s_i - x_j) / sigma) at every cutoff s_i, for
@@ -550,18 +551,12 @@ class _NoisyEngine(_Engine):
         at_zero = float(np.sum(self._node_values * ndtr(-self._nodes / self.sigma)))
         return above, at_zero
 
-    def quantile_grid(self, taus: np.ndarray) -> np.ndarray:
-        return _memoized(self._q_cache, self._quantiles, taus)
-
     def _quantiles(self, taus: np.ndarray) -> np.ndarray:
         q = np.where(taus <= self._atom_low, 0.0, 1.0)
         inner = (taus > self._atom_low) & (taus < 1.0 - self._atom_high)
         if inner.any():
             q[inner] = _invert_cdf(self._cdf_and_density, taus[inner], self._table, xtol=1e-13)
         return q
-
-    def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
-        return _memoized(self._cma_cache, self._cond_mean_above, taus)
 
     def _cond_mean_above(self, taus: np.ndarray) -> np.ndarray:
         q = self.quantile_grid(taus)
@@ -596,13 +591,23 @@ class _NoisyEngine(_Engine):
         top = float(np.sum(self._node_values * (1.0 - ndtr((1.0 - self._nodes) / self.sigma))))
         return top / self._atom_high
 
+    def _observe(self, rng: np.random.Generator, r: np.ndarray) -> np.ndarray:
+        return np.clip(r + self.sigma * rng.standard_normal(r.size), 0.0, 1.0)
+
 
 class _EmpiricalEngine(_Engine):
-    """Order-statistic quantiles and tail means over a finite corpus."""
+    """Order-statistic quantiles and tail means over a finite corpus.
 
-    def __init__(self, predicted: np.ndarray, values: np.ndarray, tie_seed: int):
+    ``values`` are the true scores, or for a ``labeled`` corpus the 0/1
+    outcomes, which a binary-mode cohort then reports as drawn.
+    """
+
+    empirical = True
+
+    def __init__(self, predicted: np.ndarray, values: np.ndarray, tie_seed: int, labeled: bool = False):
         self.predicted = predicted
         self.values = values
+        self.labeled = labeled
         self.n = predicted.size
         tie = np.random.default_rng(tie_seed).permutation(self.n)
         # descending by predicted score, ties resolved by the permutation
@@ -625,32 +630,43 @@ class _EmpiricalEngine(_Engine):
         with np.errstate(invalid="ignore"):
             return self._top_sums[k] / k  # 0 / 0 = NaN where the tail is empty
 
+    def cond_mean_at(self, tau: float) -> float:
+        raise ValueError("conditional_mean_at is undefined for empirical models")
+
     def cond_mean_top(self) -> float:
         return float(self.values[self.desc_order[0]])
 
     def mean(self) -> float:
         return self._mean
 
+    def sample(self, rng: np.random.Generator, n: int, binary_mode: bool) -> Population:
+        idx = rng.choice(self.n, size=n, replace=True)
+        r = self.values[idx]
+        if self.labeled:
+            return Population(r=r, r_hat=self.predicted[idx], y=r if binary_mode else None)
+        return _population(rng, r, self.predicted[idx], binary_mode)
 
+
+# Engines live here rather than on the frozen models, so a model pickled to a
+# worker process never carries an engine's caches along.
 _ENGINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _engine(model: JointScoreModel):
+def _engine(model: JointScoreModel) -> _Engine:
+    """The model's engine, built on first use; the one place that reads a model's kind."""
     eng = _ENGINES.get(model)
     if eng is not None:
         return eng
     if isinstance(model, Analytic):
-        dist = model.true_scores
-        if isinstance(dist, EmpiricalScores):
-            eng = _EmpiricalEngine(dist.values, dist.values, tie_seed=0)
-        elif _is_noisy(model.predictor):
-            eng = _NoisyEngine(dist, model.predictor.sigma)
+        pred = model.predictor
+        if isinstance(pred, GaussianNoiseClipped) and pred.sigma > 0.0:
+            eng = _NoisyEngine(model.true_scores, pred.sigma)
         else:
-            eng = _PerfectEngine(dist)
+            eng = _PerfectEngine(model.true_scores)
     elif isinstance(model, EmpiricalJoint):
         eng = _EmpiricalEngine(model.predicted, model.true, model.tie_seed)
     elif isinstance(model, EmpiricalLabeled):
-        eng = _EmpiricalEngine(model.predicted, model.outcomes.astype(float), model.tie_seed)
+        eng = _EmpiricalEngine(model.predicted, model.outcomes, model.tie_seed, labeled=True)
     else:
         raise TypeError(f"not a JointScoreModel: {model!r}")
     _ENGINES[model] = eng
@@ -659,9 +675,7 @@ def _engine(model: JointScoreModel):
 
 def is_empirical(model: JointScoreModel) -> bool:
     """True when quantiles come from a finite corpus rather than a density."""
-    return isinstance(model, (EmpiricalJoint, EmpiricalLabeled)) or (
-        isinstance(model, Analytic) and isinstance(model.true_scores, EmpiricalScores)
-    )
+    return _engine(model).empirical
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +685,6 @@ def is_empirical(model: JointScoreModel) -> bool:
 
 def mean_true_score(model: JointScoreModel) -> float:
     """E[r]: analytic moment, corpus average, or positive rate."""
-    if isinstance(model, Analytic) and not isinstance(model.true_scores, EmpiricalScores):
-        return model.true_scores.mean()
     return _engine(model).mean()
 
 
@@ -719,8 +731,6 @@ def conditional_mean_at(model: JointScoreModel, tau: float) -> float:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    if is_empirical(model):
-        raise ValueError("conditional_mean_at is undefined for empirical models")
     return _engine(model).cond_mean_at(tau)
 
 
@@ -729,54 +739,36 @@ def conditional_mean_top(model: JointScoreModel) -> float:
     return _engine(model).cond_mean_top()
 
 
-def _cond_mean_at_boundary(model: JointScoreModel, tau: float) -> float:
-    """conditional_mean_at extended to tau in {0, 1} for analytic models."""
-    eng = _engine(model)
-    if tau >= 1.0:
-        return eng.cond_mean_top()
-    if tau <= 0.0:
-        if isinstance(eng, _PerfectEngine):
-            return eng.cond_mean_at(0.0)
-        if isinstance(eng, _NoisyEngine):
-            h = _FD_STEP
-            g0 = eng.cond_mean_above(0.0)
-            gh = (1.0 - h) * eng.cond_mean_above(h)
-            return -(gh - g0) / h
-        raise ValueError("boundary conditional mean undefined for empirical models")
-    return conditional_mean_at(model, tau)
-
-
 def tpr_at(model: JointScoreModel, tau: float) -> float:
     """True-positive rate of flagging at tau, reading r as P(Y=1).
 
     Defined through the tail-mass identity
     ``TPR(tau) * E[r] = (1 - tau) * conditional_mean_above(tau)``, which holds
     exactly by construction; empirical corpora can exceed 1 by at most one
-    order-statistic step of quantization.
+    order-statistic step of quantization.  0 where no one is flagged: at
+    tau = 1, and on a corpus wherever the flagged count is 0.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError(f"tau must be in [0, 1), got {tau}")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
     er = mean_true_score(model)
     if er == 0.0:
         raise ValueError("no positives")
-    return (1.0 - tau) * conditional_mean_above(model, tau) / er
+    cma = float(_engine(model).cond_mean_above_grid(np.array([tau]))[0])
+    return 0.0 if math.isnan(cma) else (1.0 - tau) * cma / er
 
 
 def tpr_grid(model: JointScoreModel, taus: np.ndarray) -> np.ndarray:
-    """tpr_at at every tau of a 1-d array in [0, 1]; 0 at tau = 1.
+    """tpr_at at every tau of a 1-d array in [0, 1], with the same arithmetic
+    on the same tail means, so bitwise equal to the scalar call.
 
-    The same arithmetic on the same tail means, so bitwise equal to the
-    scalar call below tau = 1.  At tau = 1 no one is flagged.  Raises where
-    a tail below tau = 1 is empty.
+    0 where the tail is empty, as the tail mean is NaN exactly there.
     """
     taus = _tau_grid(taus)
     er = mean_true_score(model)
     if er == 0.0:
         raise ValueError("no positives")
     tpr = (1.0 - taus) * _engine(model).cond_mean_above_grid(taus) / er
-    tpr[taus == 1.0] = 0.0
-    if np.isnan(tpr).any():
-        raise ValueError("empty tail")
+    tpr[np.isnan(tpr)] = 0.0
     return tpr
 
 
@@ -785,43 +777,13 @@ def sample_population(
     n: int,
     binary_mode: bool = False,
     seed: int | np.random.SeedSequence | np.random.Generator = 0,
-    *,
-    with_replacement: bool = True,
 ) -> Population:
     """Draw an i.i.d. cohort of n individuals; deterministic given the seed.
 
-    Draw order per cohort: true scores, then predictor noise, then (binary
-    mode) outcomes -- each as one vectorized pass in individual-index order.
+    Draw order per cohort: true scores (corpus rows, with replacement), then
+    predictor noise, then (binary mode) outcomes -- each as one vectorized
+    pass in individual-index order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if isinstance(model, Analytic) and not isinstance(model.true_scores, EmpiricalScores):
-        r = model.true_scores.sample(rng, n)
-        if _is_noisy(model.predictor):
-            r_hat = np.clip(r + model.predictor.sigma * rng.standard_normal(n), 0.0, 1.0)
-        else:
-            r_hat = r.copy()
-        y = (rng.random(n) < r).astype(float) if binary_mode else None
-        return Population(r=r, r_hat=r_hat, y=y)
-
-    if isinstance(model, Analytic):
-        values = model.true_scores.values
-        idx = rng.choice(values.size, size=n, replace=with_replacement)
-        r = values[idx]
-        y = (rng.random(n) < r).astype(float) if binary_mode else None
-        return Population(r=r, r_hat=r.copy(), y=y)
-
-    if isinstance(model, EmpiricalJoint):
-        idx = rng.choice(model.predicted.size, size=n, replace=with_replacement)
-        r = model.true[idx]
-        r_hat = model.predicted[idx]
-        y = (rng.random(n) < r).astype(float) if binary_mode else None
-        return Population(r=r, r_hat=r_hat, y=y)
-
-    if isinstance(model, EmpiricalLabeled):
-        idx = rng.choice(model.predicted.size, size=n, replace=with_replacement)
-        y = model.outcomes[idx]
-        return Population(r=y.astype(float), r_hat=model.predicted[idx], y=y if binary_mode else None)
-
-    raise TypeError(f"not a JointScoreModel: {model!r}")
+    return _engine(model).sample(np.random.default_rng(seed), n, binary_mode)

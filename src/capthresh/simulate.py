@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand, resolve_threshold
+from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand
 from .score_model import JointScoreModel, Population, flagged_count, sample_population
 
 EXACT_BUDGET = 5000
@@ -264,7 +264,7 @@ def simulate_policy(
     The policy's tau at ``config.m / config.n``, run through
     :func:`simulate_taus`.
     """
-    tau = resolve_threshold(policy, config.m / config.n, model, config.params)
+    tau = policy.threshold(config.m / config.n, model, config.params)
     return simulate_taus(config, [tau], model, population=population, workers=workers)[0]
 
 

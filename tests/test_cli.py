@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from capthresh import cli
@@ -132,6 +133,27 @@ def test_opauc_report(tmp_path, capsys):
     by_name = {c["name"]: c for c in summary["candidates"]}
     assert by_name["sharp"]["auc"] == pytest.approx(5 / 6, abs=1e-3)
     assert by_name["sharp"]["opauc"] > by_name["noisy"]["opauc"]
+
+
+def test_opauc_small_corpus_candidate_exits_0(tmp_path, capsys):
+    # regression: a candidate corpus with fewer rows than the 2001-point TPR grid exited 2
+    r = np.random.default_rng(4).random(1000)
+    (tmp_path / "small.csv").write_text(
+        "score,true_score\n" + "".join(f"{v:.17g},{v:.17g}\n" for v in r), encoding="utf-8"
+    )
+    scn = _scenario(
+        tmp_path,
+        mu={"kind": "uniform_ratio", "lo": 0.05, "hi": 0.15},
+        candidates=[
+            {"name": "corpus", "model": {"kind": "empirical_joint", "path": "small.csv"}},
+            {"name": "sharp", "model": {"kind": "uniform", "predictor": {"kind": "perfect"}}},
+        ],
+    )
+    code, _ = _run(capsys, "opauc", "--scenario", str(scn))
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "run_opauc.json").read_text())
+    by_name = {c["name"]: c for c in summary["candidates"]}
+    assert by_name["corpus"]["auc"] == pytest.approx(by_name["sharp"]["auc"], abs=0.02)
 
 
 def test_validate_convergence_table(tmp_path, capsys):

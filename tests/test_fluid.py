@@ -117,7 +117,7 @@ def _grid_score_optimal_loop(model, params, grid_size):
     """Reference: the empirical score-optimal grid solve as one Python loop."""
     if params.p0 == 0:
         return 1.0
-    n = model.true_scores.values.size if isinstance(model, sm.Analytic) else model.predicted.size
+    n = model.predicted.size
     best_tau, best_val = None, -np.inf
     for t in np.linspace(0.0, 1.0, grid_size):
         t = float(t)
@@ -137,7 +137,7 @@ def test_score_optimal_grid_matches_loop(n):
     corpora = (
         sm.EmpiricalJoint(pred, true, tie_seed=1),
         sm.EmpiricalLabeled(pred, (rng.random(n) < pred).astype(float), tie_seed=2),
-        sm.Analytic(sm.EmpiricalScores(true)),
+        sm.EmpiricalJoint(true, true),
     )
     for corpus in corpora:
         p0_bar = fl.critical_baseline(0.2, corpus, 0.5)
@@ -179,7 +179,7 @@ def _oracle_models():
         "mixture_noisy": lambda: sm.Analytic(mix, sm.GaussianNoiseClipped(0.1)),
         "joint_500": lambda: sm.EmpiricalJoint(pred, true, tie_seed=2),
         "labeled_500": lambda: sm.EmpiricalLabeled(pred, outcomes),
-        "scores_500": lambda: sm.Analytic(sm.EmpiricalScores(true)),
+        "scores_500": lambda: sm.EmpiricalJoint(true, true),
     }
 
 
@@ -191,7 +191,7 @@ def test_grid_oracle_matches_loop(name):
         params = fl.BehavioralParams(p0, 0.5)
         for rho in (0.05, 0.2, 0.5):
             for grid_size in (2, 7, fl.DEFAULT_GRID):
-                got = fl.resolve_threshold(fl.GridOracle(grid_size), rho, grid_model, params)
+                got = fl.GridOracle(grid_size).threshold(rho, grid_model, params)
                 assert got == _grid_oracle_loop(grid_size, rho, loop_model, params)
 
 
@@ -200,7 +200,7 @@ def test_grid_oracle_small_corpus_regression():
     corpus = _oracle_models()["joint_500"]()
     with pytest.raises(ValueError, match="empty tail"):
         fl.fluid_objective(0.9999, corpus, 1.0, 0.2, P)
-    tau = fl.resolve_threshold(fl.GridOracle(2001), 0.2, corpus, P)
+    tau = fl.GridOracle(2001).threshold(0.2, corpus, P)
     assert sm.flagged_count(500, tau) > 0
     (pt,) = fl.gap_curve(fl.GridOracle(2001), axis="p0", grid=[0.1], model=corpus, params=P, rho=0.2)
     assert pt.tau_policy == tau and pt.gap >= 0.0
@@ -388,6 +388,28 @@ def test_first_order_condition_at_optimum(uniform_perfect, mixture_perfect, mixt
         tau = fl.score_optimal_threshold(model, P)
         assert 0.0 < tau < 1.0
         assert abs(fl.first_order_condition(model, P, tau)) <= 1e-6
+
+
+def _first_order_condition_at_zero_reference(model, params):
+    """Reference H(0) on a noisy model: the density-point mean at tau = 0 is the
+    one-sided difference of the tail mass (1 - tau) E[r | r_hat >= q(tau)] over [0, h]."""
+    eng = sm._engine(model)
+    h = sm._FD_STEP
+    g0 = eng.cond_mean_above(0.0)
+    gh = (1.0 - h) * eng.cond_mean_above(h)
+    cm_at = -(gh - g0) / h
+    er = sm.mean_true_score(model)
+    ratio = params.p0 / params.delta_p
+    cma = sm.conditional_mean_above(model, 0.0)
+    return (1.0 - 0.0) * (cma - cm_at) - ratio * (cm_at - er)
+
+
+def test_first_order_condition_at_zero_is_bitwise_the_reference(mixture_noisy):
+    wide = sm.Analytic(sm.Uniform01(), sm.GaussianNoiseClipped(0.4))
+    for model in (mixture_noisy, wide):
+        for params in (P, fl.BehavioralParams(0.3, 0.4)):
+            got = fl.first_order_condition(model, params, 0.0)
+            assert got == _first_order_condition_at_zero_reference(model, params)
 
 
 def test_first_order_condition_strictly_decreasing(uniform_perfect, mixture_perfect):

@@ -89,6 +89,13 @@ def test_auc_integral_near_constant_scores():
     assert mt.auc_integral(model) == pytest.approx(0.5, abs=0.05)
 
 
+def test_auc_integral_small_corpus_regression():
+    # 1000 rows < 2001 grid points: the TPR is 0 where no one is flagged, not "empty tail"
+    r = np.random.default_rng(4).random(1000)
+    auc = mt.auc_integral(sm.EmpiricalJoint(r, r))
+    assert math.isfinite(auc) and auc == pytest.approx(5 / 6, abs=0.02)  # perfect uniform ranking
+
+
 def test_auc_integral_degenerate_mean():
     with pytest.raises(ValueError, match="AUC undefined"):
         mt.auc_integral(sm.EmpiricalLabeled(np.array([0.2, 0.8]), np.array([1.0, 1.0])))

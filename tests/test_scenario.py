@@ -91,9 +91,9 @@ def test_policy_kind_parses_resolves_and_labels(tmp_path, kind):
     scn = sio.load_scenario(_write(tmp_path, doc))
     (policy,) = scn.policies
     assert type(policy) is cls, f"{home}: the parser built {policy!r}"
-    tau = fl.resolve_threshold(policy, scn.m / scn.n, scn.model.build(), scn.behavioral)
+    tau = policy.threshold(scn.m / scn.n, scn.model.build(), scn.behavioral)
     assert 0.0 <= tau <= 1.0, f"{home}: its threshold() gave tau={tau}"
-    label = fl.policy_label(policy)
+    label = policy.label
     assert label.startswith(kind), f"{home}: its label {label!r} must start with the kind"
     assert label == POLICY_LABELS.get(kind, label), f"{home}: its label changed to {label!r}"
 

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -38,21 +41,9 @@ def test_noise_sigma_must_be_finite():
         with pytest.raises(ValueError, match="finite"):
             sm.GaussianNoiseClipped(sigma)
 
-def test_empirical_scores_validation():
-    with pytest.raises(ValueError):
-        sm.EmpiricalScores([])
-    with pytest.raises(ValueError):
-        sm.EmpiricalScores([0.5, 1.2])
-
-
 def test_labeled_outcomes_binary():
     with pytest.raises(ValueError):
         sm.EmpiricalLabeled(np.array([0.5, 0.6]), np.array([0.0, 2.0]))
-
-
-def test_noise_on_empirical_scores_rejected():
-    with pytest.raises(ValueError):
-        sm.Analytic(sm.EmpiricalScores([0.1, 0.9]), sm.GaussianNoiseClipped(0.1))
 
 
 def test_mixture_cdf_bitwise_equals_scipy_stats():
@@ -100,7 +91,8 @@ def test_quantile_identity_predictor(uniform_perfect):
 
 
 def test_quantile_empirical_order_statistic():
-    model = sm.Analytic(sm.EmpiricalScores([0.1, 0.2, 0.3, 0.4]), sm.Perfect())
+    values = np.array([0.1, 0.2, 0.3, 0.4])
+    model = sm.EmpiricalJoint(values, values)
     assert sm.predicted_quantile(model, 0.5) == pytest.approx(0.2)
 
 
@@ -223,7 +215,7 @@ def _grid_models():
         "uniform_noisy_wide": lambda: sm.Analytic(sm.Uniform01(), sm.GaussianNoiseClipped(0.4)),
         "joint": lambda: sm.EmpiricalJoint(pred, true, tie_seed=4),
         "labeled": lambda: sm.EmpiricalLabeled(pred, (true < pred).astype(float), tie_seed=5),
-        "scores": lambda: sm.Analytic(sm.EmpiricalScores(true)),
+        "scores": lambda: sm.EmpiricalJoint(true, true),
     }
 
 
@@ -232,34 +224,36 @@ def test_grid_equals_scalar_bitwise(name):
     make = _grid_models()[name]
     grid_model, scalar_model = make(), make()
     taus = np.linspace(0.0, 1.0, 257)
-    if isinstance(grid_model, sm.Analytic) and sm._is_noisy(grid_model.predictor):
+    if isinstance(sm._engine(scalar_model), sm._NoisyEngine):
         low, high = _noisy_atoms(scalar_model)
         extra = [0.5 * low, low, np.nextafter(low, 1.0), np.nextafter(high, 0.0), high, 0.5 * (1 + high)]
         taus = np.concatenate([taus, extra])
         assert 0.0 < low and high < 1.0
     quantiles = sm._engine(grid_model).quantile_grid(taus)
     tails = sm.conditional_mean_above_grid(grid_model, taus)
-    n = None if isinstance(grid_model, sm.Analytic) and not sm.is_empirical(grid_model) else 300
+    n = 300 if sm.is_empirical(grid_model) else None
     defined = np.array([n is None or sm.flagged_count(n, float(t)) > 0 for t in taus]) & (taus < 1.0)
-    tpr = sm.tpr_grid(grid_model, taus[defined])
+    tpr = sm.tpr_grid(grid_model, taus)
     for t, q in zip(taus, quantiles):
         assert q == sm.predicted_quantile(scalar_model, float(t))
     for t, c in zip(taus[defined], tails[defined]):
         assert c == sm.conditional_mean_above(scalar_model, float(t))
-    for t, v in zip(taus[defined], tpr):
+    for t, v in zip(taus, tpr):
         assert v == sm.tpr_at(scalar_model, float(t))
     assert np.isnan(tails[~defined]).all()
-    assert sm.tpr_grid(grid_model, np.array([1.0]))[0] == 0.0
+    assert (tpr[~defined] == 0.0).all()  # no one is flagged
     # a value does not depend on which other taus share the call
     order = np.random.default_rng(1).permutation(taus.size)
     assert np.array_equal(sm.conditional_mean_above_grid(make(), taus[order]), tails[order], equal_nan=True)
 
 
 def test_tpr_grid_empty_tail_error():
+    # an empty tail has no mean, but its TPR is 0
     model = sm.EmpiricalJoint(np.array([0.2, 0.8]), np.array([0.2, 0.8]))
-    assert sm.tpr_grid(model, np.array([0.0, 0.5, 1.0])).tolist() == [1.0, 0.8, 0.0]
+    assert sm.tpr_grid(model, np.array([0.0, 0.5, 0.75, 1.0])).tolist() == [1.0, 0.8, 0.0, 0.0]
+    assert sm.tpr_at(model, 0.75) == sm.tpr_at(model, 1.0) == 0.0
     with pytest.raises(ValueError, match="empty tail"):
-        sm.tpr_grid(model, np.array([0.0, 0.75]))
+        sm.conditional_mean_above(model, 0.75)
     with pytest.raises(ValueError, match="1-d"):
         sm.conditional_mean_above_grid(model, np.zeros((2, 2)))
 
@@ -366,13 +360,6 @@ def test_sample_perfect_predictor_matches(uniform_perfect):
     assert pop.y is None
 
 
-def test_sample_without_replacement_is_permutation():
-    corpus = sm.EmpiricalJoint(np.linspace(0.1, 0.9, 9), np.linspace(0.2, 1.0, 9))
-    pop = sm.sample_population(corpus, 9, seed=3, with_replacement=False)
-    assert sorted(pop.r_hat) == pytest.approx(sorted(corpus.predicted))
-    assert sorted(pop.r) == pytest.approx(sorted(corpus.true))
-
-
 def test_sample_mean_clt(uniform_perfect):
     pop = sm.sample_population(uniform_perfect, 10**6, seed=7)
     assert abs(pop.r.mean() - 0.5) < 0.002  # 3 sigma/sqrt(n) headroom
@@ -391,6 +378,79 @@ def test_sample_determinism(mixture_noisy):
     assert np.array_equal(a.r, b.r)
     assert np.array_equal(a.r_hat, b.r_hat)
     assert np.array_equal(a.y, b.y)
+
+
+def test_noisy_sampling_and_mean_leave_scipy_stats_unloaded(cli_env):
+    # the noisy engine evaluates the true-score density only for its quadrature
+    script = textwrap.dedent("""
+        import sys
+        from capthresh import score_model as sm
+        mix = sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)))
+        model = sm.Analytic(mix, sm.GaussianNoiseClipped(0.1))
+        sm.sample_population(model, 100, binary_mode=True, seed=1)
+        sm.mean_true_score(model)
+        print("scipy.stats loaded:", "scipy.stats" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy.stats loaded: False"
+
+
+# --- one engine per model kind ----------------------------------------------------
+
+_RNG = np.random.default_rng(12)
+_PRED = np.round(_RNG.random(400), 2)  # ties
+_TRUE = np.clip(_PRED + 0.1 * _RNG.standard_normal(400), 0.0, 1.0)
+MODEL_KINDS = {
+    "perfect": (lambda: sm.Analytic(MIX), sm._PerfectEngine),
+    "noisy": (lambda: sm.Analytic(MIX, sm.GaussianNoiseClipped(0.1)), sm._NoisyEngine),
+    "joint": (lambda: sm.EmpiricalJoint(_PRED, _TRUE, tie_seed=1), sm._EmpiricalEngine),
+    "labeled": (lambda: sm.EmpiricalLabeled(_PRED, (_TRUE > 0.5).astype(float)), sm._EmpiricalEngine),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_model_kind_answers_every_primitive(kind):
+    make, engine_cls = MODEL_KINDS[kind]
+    model = make()
+    home = f"model kind '{kind}' is answered by {engine_cls.__name__} in capthresh/score_model.py"
+    assert type(sm._engine(model)) is engine_cls, f"{home}: _engine built {sm._engine(model)!r}"
+    empirical = kind in ("joint", "labeled")
+    assert sm.is_empirical(model) == empirical, home
+    er = sm.mean_true_score(model)
+    assert 0.0 < er < 1.0, home
+    q = [sm.predicted_quantile(model, t) for t in (0.0, 0.5, 1.0)]
+    assert 0.0 <= q[0] <= q[1] <= q[2] <= 1.0, home
+    taus = np.array([0.0, 0.5, 0.9, 1.0])
+    cma = sm.conditional_mean_above_grid(model, taus)
+    assert cma[0] == pytest.approx(er, abs=1e-12) and math.isnan(cma[3]), home
+    assert [sm.conditional_mean_above(model, t) for t in (0.0, 0.5, 0.9)] == cma[:3].tolist(), home
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        sm.conditional_mean_above(model, 1.0)
+    tpr = sm.tpr_grid(model, taus)
+    assert tpr[0] == pytest.approx(1.0, abs=1e-12) and tpr[3] == 0.0, home
+    assert [sm.tpr_at(model, float(t)) for t in taus] == tpr.tolist(), home
+    assert 0.0 <= sm.conditional_mean_top(model) <= 1.0, home
+    if empirical:
+        with pytest.raises(ValueError, match="undefined for empirical models"):
+            sm.conditional_mean_at(model, 0.5)
+    else:
+        assert 0.0 < sm.conditional_mean_at(model, 0.5) < 1.0, home
+    for binary_mode in (False, True):
+        pop = sm.sample_population(model, 50, binary_mode, seed=3)
+        again = sm.sample_population(model, 50, binary_mode, seed=3)
+        assert pop.n == 50 and np.array_equal(pop.r, again.r) and np.array_equal(pop.r_hat, again.r_hat)
+        assert (pop.y is not None) == binary_mode, home
+        if binary_mode:
+            assert set(np.unique(pop.y)) <= {0.0, 1.0}
+            assert np.array_equal(pop.y, again.y)
+            if kind == "labeled":
+                assert np.array_equal(pop.y, pop.r)  # the outcomes are the data
+
+
+def test_unknown_model_kind_raises_type_error():
+    with pytest.raises(TypeError, match="not a JointScoreModel"):
+        sm.mean_true_score(sm.Uniform01())
 
 
 # --- distributional invariants ----------------------------------------------------
