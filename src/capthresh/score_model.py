@@ -12,8 +12,8 @@ Model kinds:
   :class:`BetaMixture`) observed either perfectly or through clipped Gaussian
   noise.  Perfect predictors use the law's closed-form cdf and partial first
   moment; noisy ones integrate closed-form normal tails against the
-  true-score density by Gauss-Legendre quadrature.  Either way there is no
-  sampling noise, and quantiles are safeguarded Newton solves.
+  true-score law by a Gauss rule built for each beta component.  Either way
+  there is no sampling noise, and quantiles are safeguarded Newton solves.
 * :class:`EmpiricalJoint` / :class:`EmpiricalLabeled` -- finite corpora of
   (predicted, true) or (predicted, outcome) records.  Conditional means are
   tail averages under the order-statistic quantile convention below.
@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln, ndtr, roots_legendre, xlog1py, xlogy
-
-QUAD_NODES = 2048
+from scipy.special import betainc, betaincc, betaln, ndtr, xlog1py, xlogy
 
 # Step for the central finite difference behind conditional_mean_at on noisy
 # analytic models.  Quadrature noise is ~1e-13, so truncation dominates and
@@ -48,21 +46,32 @@ _FD_STEP = 1e-4
 _FINE_TABLE_POINTS = 4097
 _COARSE_TABLE_POINTS = 129
 _NEWTON_MAX_ITER = 100
-# Noisy-model quadrature runs over at most this many cutoffs at a time.  Its
-# temporaries are (block x QUAD_NODES) arrays of 128 KiB, small enough that
-# peak memory stays where it was with one cutoff at a time; blocks of 16 to
-# 64 were no faster and raised peak memory by 1 to 4 MB.
-_QUAD_BLOCK = 8
-
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Noisy-model quadrature: a Gauss rule of ceil(3 / sigma) nodes, clamped to
+# [_MIN_NODES, _MAX_NODES], per beta component, over blocks of cutoffs whose
+# (cutoffs x nodes) temporaries hold at most _QUAD_CELLS entries (128 KiB), so
+# peak memory stays where it was with one cutoff at a time.
+_MIN_NODES, _MAX_NODES, _QUAD_CELLS = 64, 1024, 8 * 2048
 
 
-def _leggauss01(n: int = QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
-    if n not in _LEGGAUSS_CACHE:
-        x, w = roots_legendre(n)
-        _LEGGAUSS_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _LEGGAUSS_CACHE[n]
+def _beta_gauss(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of the beta(a, b) law: nodes, and weights summing to 1.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the eigenvalues t and the squared
+    first eigenvector components of the Jacobi matrix of the weight
+    (1 - t)^(b-1) (1 + t)^(a-1) on [-1, 1], with nodes (t + 1) / 2.  Unlike
+    ``scipy.special.roots_jacobi``, this stays finite for shapes of 1e4 and up.
+    """
+    from scipy.linalg import eigh_tridiagonal  # deferred: only noisy engines need it
+
+    s, k = a + b, np.arange(float(n))
+    c = 2.0 * k + s - 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 can only occur at k = 0 or 1
+        diag = (a - b) * (s - 2.0) / (c * (c + 2.0))
+        off2 = 4.0 * k * (k + a - 1.0) * (k + b - 1.0) * (k + s - 2.0) / (c * c * (c + 1.0) * (c - 1.0))
+    diag[0] = (a - b) / s
+    off2[1] = 4.0 * a * b / (s * s * (s + 1.0))  # the k = 1 term with its factor s - 1 cancelled
+    t, v = eigh_tridiagonal(diag, np.sqrt(off2[1:]))
+    return 0.5 * (t + 1.0), v[0] ** 2
 
 
 def flagged_count(n: int, tau: float) -> int:
@@ -151,6 +160,8 @@ def _as_output(x: np.ndarray):
 @dataclass(frozen=True)
 class Uniform01:
     """True scores uniform on [0, 1]."""
+
+    components = ((1.0, 1.0, 1.0),)  # as a mixture: the one law beta(1, 1)
 
     def mean(self) -> float:
         return 0.5
@@ -491,11 +502,13 @@ def _normal_kernel(z: np.ndarray) -> np.ndarray:
 class _NoisyEngine(_AnalyticEngine):
     """r_hat = clip(r + eps, 0, 1) with eps ~ Normal(0, sigma^2).
 
-    All quantities are Gauss-Legendre integrals of closed-form normal tails
-    against the true-score density; clipping shows up as atoms at 0 and 1
-    that are split fractionally, matching the top-(1-tau) flagging rule.
-    The density on the nodes is computed on first use, so sampling a cohort
-    or reading E[r] never evaluates it.
+    All quantities are integrals of closed-form normal tails against the
+    true-score law on the Gauss rule of each beta component, scaled by its
+    weight, so no density is evaluated and shapes below 1 lose no mass;
+    clipping shows up as atoms at 0 and 1 split fractionally, matching the
+    top-(1-tau) flagging rule.  ceil(3 / sigma) nodes resolve the kernel; the
+    cap _MAX_NODES keeps that down to sigma ~ 0.0015 (at sigma = 0.001 a cdf
+    is off by about 1e-8).  The rule is built on first use, not by sampling.
     """
 
     def __init__(self, dist: TrueScoreDistribution, sigma: float):
@@ -503,12 +516,18 @@ class _NoisyEngine(_AnalyticEngine):
         self.sigma = sigma
 
     @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        n = max(math.ceil(min(3.0 / self.sigma, _MAX_NODES)), _MIN_NODES)  # 3 / sigma may be inf
+        rules = [(w, *_beta_gauss(a, b, n)) for w, a, b in self.dist.components if w > 0.0]
+        return np.concatenate([x for _, x, _ in rules]), np.concatenate([w * p for w, _, p in rules])
+
+    @cached_property
     def _nodes(self) -> np.ndarray:
-        return _leggauss01()[0]
+        return self._rule[0]
 
     @cached_property
     def _mass(self) -> np.ndarray:
-        return _leggauss01()[1] * self.dist.pdf(self._nodes)
+        return self._rule[1]
 
     @cached_property
     def _node_values(self) -> np.ndarray:
@@ -518,10 +537,11 @@ class _NoisyEngine(_AnalyticEngine):
         """sum_j weights_j * f((s_i - x_j) / sigma) at every cutoff s_i, for
         each (weights, f) of terms, over blocks of cutoffs."""
         outs = [np.empty(s.size) for _ in terms]
-        for i in range(0, s.size, _QUAD_BLOCK):
-            z = (s[i : i + _QUAD_BLOCK, None] - self._nodes) / self.sigma
+        block = max(_QUAD_CELLS // self._nodes.size, 1)
+        for i in range(0, s.size, block):
+            z = (s[i : i + block, None] - self._nodes) / self.sigma
             for out, (weights, f) in zip(outs, terms):
-                out[i : i + _QUAD_BLOCK] = np.sum(weights * f(z), axis=1)
+                out[i : i + block] = np.sum(weights * f(z), axis=1)
         return outs
 
     def _cdf_hat(self, s: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 from scipy.special import betaln
 
 from capthresh import score_model as sm
@@ -197,6 +197,66 @@ def test_mixture_ppf_inverts_cdf(dist):
         assert isinstance(got, float) and got == xi
 
 
+def _noisy_reference(dist, sigma, s, moment):
+    """P(r + eps <= s) for moment 0, E[r; r + eps > s] for moment 1, by
+    adaptive quadrature per component: the algebraic weight carries the
+    endpoint singularities, and breakpoints around s the kernel's width."""
+    total = 0.0
+    for w, a, b in dist.components:
+        edges = sorted({0.0, 1.0, *(p for p in (s - 5 * sigma, s, s + 5 * sigma) if 0.0 < p < 1.0)})
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            # the weight takes the factors at the ends this piece touches
+            pa = 0.0 if lo == 0.0 else a - 1.0
+            pb = 0.0 if hi == 1.0 else b - 1.0
+
+            def inner(x, pa=pa, pb=pb):
+                kernel = x * special.ndtr((x - s) / sigma) if moment else special.ndtr((s - x) / sigma)
+                return x**pa * (1.0 - x) ** pb * kernel
+
+            wvar = (a - 1.0 - pa, b - 1.0 - pb)
+            total += w * math.exp(-betaln(a, b)) * integrate.quad(
+                inner, lo, hi, weight="alg", wvar=wvar, epsabs=1e-15, epsrel=1e-13, limit=500
+            )[0]
+    return total
+
+
+@pytest.mark.parametrize("sigma", [0.4, 0.1, 0.03, 0.01])
+@pytest.mark.parametrize("dist, tol", [(SMALL_SHAPES, 1e-10), (MIX, 1e-12)], ids=["small", "demo"])
+def test_noisy_quadrature_matches_adaptive_reference(dist, tol, sigma):
+    # shapes below 1 put singularities at the ends of [0, 1], which a fixed
+    # Gauss-Legendre rule times the density missed: its node mass was 1 - 6.1e-3
+    model = sm.Analytic(dist, sm.GaussianNoiseClipped(sigma))
+    eng = sm._engine(model)
+    assert abs(eng._mass.sum() - 1.0) < 1e-13
+    assert abs(eng._node_values.sum() - dist.mean()) < 1e-12
+    cutoffs = np.array([0.02, 0.3, 0.55, 0.9])
+    cdf = eng._cdf_hat(cutoffs)
+    for s, got in zip(cutoffs, cdf):
+        assert abs(got - _noisy_reference(dist, sigma, s, 0)) < tol
+    for tau in (0.3, 0.5, 0.7, 0.95):
+        q = sm.predicted_quantile(model, tau)
+        if 0.0 < q < 1.0:  # not on an atom of r_hat's law, which is split fractionally
+            tail = _noisy_reference(dist, sigma, q, 1) / (1.0 - tau)
+            assert abs(sm.conditional_mean_above(model, tau) - tail) < tol
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.01])
+@pytest.mark.parametrize(
+    "dist",
+    [sm.BetaMixture(((1.0, 4000.0, 4000.0),)), sm.BetaMixture(((0.5, 1e5, 3.0), (0.5, 2.0, 2.0)))],
+    ids=["narrow", "lopsided"],
+)
+def test_noisy_rule_survives_large_shapes(dist, sigma):
+    # scipy.special.roots_jacobi returns NaN nodes for shapes like these
+    model = sm.Analytic(dist, sm.GaussianNoiseClipped(sigma))
+    eng = sm._engine(model)
+    assert np.isfinite(eng._nodes).all() and np.isfinite(eng._mass).all()
+    assert abs(eng._mass.sum() - 1.0) < 1e-12
+    q = eng.quantile_grid(np.linspace(0.0, 1.0, 257))
+    assert np.all(np.diff(q) >= 0.0)
+    assert abs(sm.conditional_mean_above(model, 0.0) - dist.mean()) < 1e-12
+
+
 def _noisy_atoms(model):
     eng = sm._engine(model)
     return eng._atom_low, 1.0 - eng._atom_high
@@ -381,14 +441,20 @@ def test_sample_determinism(mixture_noisy):
 
 
 def test_noisy_sampling_and_mean_leave_scipy_stats_unloaded(cli_env):
-    # the noisy engine evaluates the true-score density only for its quadrature
+    # the noisy engine integrates on per-component Gauss rules and never
+    # evaluates a density, so no noisy primitive needs scipy.stats
     script = textwrap.dedent("""
         import sys
-        from capthresh import score_model as sm
+        import numpy as np
+        from capthresh import metrics, score_model as sm
         mix = sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)))
         model = sm.Analytic(mix, sm.GaussianNoiseClipped(0.1))
         sm.sample_population(model, 100, binary_mode=True, seed=1)
         sm.mean_true_score(model)
+        sm.predicted_quantile(model, 0.8)
+        sm.conditional_mean_above(model, 0.8)
+        sm.tpr_grid(model, np.linspace(0.0, 1.0, 11))
+        metrics.auc_integral(model)
         print("scipy.stats loaded:", "scipy.stats" in sys.modules)
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=cli_env)
