@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+@functools.cache  # parse_args keeps no state on the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="capthresh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -146,8 +146,7 @@ class ModelSpec:
     def build(self) -> JointScoreModel:
         if self.csv is None:
             return Analytic(self.true_scores, self.predictor)
-        model = load_empirical_csv(self.csv, self.mode)
-        return dataclasses.replace(model, tie_seed=self.tie_seed) if self.tie_seed else model
+        return load_empirical_csv(self.csv, self.mode, self.tie_seed)
 
 
 @dataclass(frozen=True)
@@ -391,8 +390,14 @@ def _validate(spec: dict) -> Validate:
 _HEADERS = {"joint": "score,true_score", "labeled": "score,outcome"}
 
 
-def load_empirical_csv(path, mode: str) -> JointScoreModel:
-    """Read a two-column corpus; row numbers in errors count file lines."""
+def load_empirical_csv(path, mode: str, tie_seed: int = 0) -> JointScoreModel:
+    """Read a two-column corpus; row numbers in errors count file lines.
+
+    The body is parsed by one ``np.loadtxt`` call and range-checked as whole
+    columns.  Where that call fails or a check does, the per-row scan
+    decides: it accepts everything ``float()`` accepts (underscores in
+    numbers, whitespace-only lines) and otherwise names the first bad row.
+    """
     if mode not in _HEADERS:
         raise ValueError("mode must be 'joint' or 'labeled'")
     path = Path(path)
@@ -407,31 +412,56 @@ def load_empirical_csv(path, mode: str) -> JointScoreModel:
         raise ScenarioError(
             f"{path.name}: bad header {lines[0]!r}; expected '{_HEADERS[mode]}'"
         )
+    body = lines[1:]
+    # loadtxt warns on a body without data, so such a body goes straight to the scan
+    columns = _load_columns(body, mode) if any(line.strip() for line in body) else None
+    scores, seconds = columns or _scan_rows(path.name, body, mode)
+    if mode == "joint":
+        return EmpiricalJoint(scores, seconds, tie_seed)
+    return EmpiricalLabeled(scores, seconds, tie_seed)
+
+
+def _load_columns(body: list[str], mode: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both columns from one ``loadtxt`` call, or None if any row needs the scan."""
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if data.shape[0] < 1 or data.shape[1] != 2:
+        return None
+    s, v = data[:, 0], data[:, 1]
+    # every comparison is False for NaN, so NaN fails these checks
+    second_ok = (v >= 0.0) & (v <= 1.0) if mode == "joint" else (v == 0.0) | (v == 1.0)
+    if not ((s >= 0.0) & (s <= 1.0) & second_ok).all():
+        return None
+    return s, v
+
+
+def _scan_rows(name: str, body: list[str], mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both columns by ``float()`` per row; raises naming the first bad row."""
     scores, seconds = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ScenarioError(f"{path.name}: row {lineno}: expected 2 fields")
+            raise ScenarioError(f"{name}: row {lineno}: expected 2 fields")
         try:
             s, v = float(parts[0]), float(parts[1])
         except ValueError:
-            raise ScenarioError(f"{path.name}: row {lineno}: values must be numeric") from None
+            raise ScenarioError(f"{name}: row {lineno}: values must be numeric") from None
         if not 0.0 <= s <= 1.0:
-            raise ScenarioError(f"{path.name}: row {lineno}: score {s} out of [0, 1]")
+            raise ScenarioError(f"{name}: row {lineno}: score {s} out of [0, 1]")
         if mode == "joint":
             if not 0.0 <= v <= 1.0:
-                raise ScenarioError(f"{path.name}: row {lineno}: true_score {v} out of [0, 1]")
+                raise ScenarioError(f"{name}: row {lineno}: true_score {v} out of [0, 1]")
         elif v not in (0.0, 1.0):
-            raise ScenarioError(f"{path.name}: row {lineno}: outcome {parts[1]} not in {{0, 1}}")
+            raise ScenarioError(f"{name}: row {lineno}: outcome {parts[1]} not in {{0, 1}}")
         scores.append(s)
         seconds.append(v)
     if not scores:
-        raise ScenarioError(f"{path.name}: no data rows")
-    if mode == "joint":
-        return EmpiricalJoint(np.array(scores), np.array(seconds))
-    return EmpiricalLabeled(np.array(scores), np.array(seconds))
+        raise ScenarioError(f"{name}: no data rows")
+    return np.array(scores), np.array(seconds)
 
 
 # ---------------------------------------------------------------------------

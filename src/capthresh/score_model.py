@@ -630,8 +630,12 @@ class _EmpiricalEngine(_Engine):
         self.labeled = labeled
         self.n = predicted.size
         tie = np.random.default_rng(tie_seed).permutation(self.n)
-        # descending by predicted score, ties resolved by the permutation
-        self.desc_order = np.lexsort((tie, -predicted))
+        # descending by predicted score, ties resolved by the permutation: a
+        # stable sort of the records laid out in tie order, which equals
+        # lexsort((tie, -predicted)) at about half its cost
+        by_tie = np.empty(self.n, dtype=np.intp)
+        by_tie[tie] = np.arange(self.n)
+        self.desc_order = by_tie[np.argsort(-predicted[by_tie], kind="stable")]
         # sums of the top k values for k = 0..n
         self._top_sums = np.zeros(self.n + 1)
         np.cumsum(values[self.desc_order], out=self._top_sums[1:])

@@ -236,6 +236,24 @@ def test_workers_below_one_is_usage_error(tmp_path):
         assert exc.value.code == 64
 
 
+def test_parser_carries_nothing_between_calls(tmp_path, capsys):
+    scn = _scenario(tmp_path, trials=50)
+    argv = ["simulate", "--scenario", str(scn)]
+    _, fresh = _run(capsys, *argv)
+    _, seeded = _run(capsys, *argv, "--seed", "5")
+    code, again = _run(capsys, *argv)
+    assert code == 0 and again == fresh != seeded  # the scenario's seed is back
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--bogus"])
+    assert exc.value.code == 64
+    capsys.readouterr()
+    code, after_error = _run(capsys, *argv)
+    assert code == 0 and after_error == fresh
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--workers", "0"])
+    assert exc.value.code == 64
+
+
 def test_nan_p0_rejected_with_field_path(tmp_path, capsys):
     scn = _scenario(tmp_path, behavioral={"p0": float("nan"), "delta_p": 0.5})
     assert "NaN" in scn.read_text(encoding="utf-8")

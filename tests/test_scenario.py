@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -250,8 +251,95 @@ def test_load_joint_bad_header(tmp_path):
 def test_load_empty_file(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("score,outcome\n", encoding="utf-8")
-    with pytest.raises(sio.ScenarioError, match="no data rows"):
-        sio.load_empirical_csv(path, "labeled")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a header-only body must not reach loadtxt, which warns
+        with pytest.raises(sio.ScenarioError, match="no data rows"):
+            sio.load_empirical_csv(path, "labeled")
+
+
+def _corpus(tmp_path, mode, body):
+    header = "score,true_score" if mode == "joint" else "score,outcome"
+    path = tmp_path / f"{mode}.csv"
+    path.write_bytes((header + "\n" + body).encode("utf-8"))
+    return path
+
+
+def _scan_reference(path):
+    """Both columns by a per-row ``float()`` pass over the non-blank lines."""
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:] if line.strip()]
+    return np.array([float(s) for s, _ in rows]), np.array([float(v) for _, v in rows])
+
+
+def _columns(model):
+    return model.predicted, model.true if isinstance(model, sm.EmpiricalJoint) else model.outcomes
+
+
+@pytest.mark.parametrize(
+    "mode, body, message",
+    [
+        ("joint", "0.5,0.5\n0.4\n", "row 3: expected 2 fields"),
+        ("joint", "0.5,0.5,0.5\n", "row 2: expected 2 fields"),
+        ("labeled", "0.5,1\n0.5,0,\n", "row 3: expected 2 fields"),
+        ("joint", "0.5,0.5\n0.5,abc\n", "row 3: values must be numeric"),
+        ("joint", "nan,0.5\n", "row 2: score nan out of \\[0, 1\\]"),
+        ("joint", "0.5,0.5\n0.5,inf\n", "row 3: true_score inf out of \\[0, 1\\]"),
+        ("labeled", "1.5,1\n", "row 2: score 1.5 out of \\[0, 1\\]"),
+        ("joint", "0.5,-0.25\n", "row 2: true_score -0.25 out of \\[0, 1\\]"),
+        ("labeled", "0.5,1\n0.5,0.5\n", "row 3: outcome 0.5 not in \\{0, 1\\}"),
+        ("labeled", "0.5,1\n\n  \n0.5,2\n", "row 5: outcome 2 not in \\{0, 1\\}"),  # blank lines count
+        ("labeled", "\n  \n", "no data rows"),
+    ],
+)
+def test_load_rejects_bad_rows_by_file_line(tmp_path, mode, body, message):
+    path = _corpus(tmp_path, mode, body)
+    with pytest.raises(sio.ScenarioError, match=f"^{mode}.csv: {message}$"):
+        sio.load_empirical_csv(path, mode)
+
+
+@pytest.mark.parametrize(
+    "body, scores, seconds",
+    [
+        ("0.5,1\n\n   \n0.25,0\n", [0.5, 0.25], [1.0, 0.0]),  # blank lines are skipped
+        ("0.5,1\r\n0.25,0\r\n", [0.5, 0.25], [1.0, 0.0]),
+        (" 0.5 , 1\n\t0.25,0 \n", [0.5, 0.25], [1.0, 0.0]),
+        ("-0,-0\n", [-0.0], [-0.0]),
+        ("0.1_5,1\n", [0.15], [1.0]),  # float() accepts digit separators
+    ],
+)
+def test_load_accepts_what_float_accepts(tmp_path, body, scores, seconds):
+    model = sio.load_empirical_csv(_corpus(tmp_path, "labeled", body), "labeled")
+    for arr, want in zip(_columns(model), (scores, seconds)):
+        assert arr.tobytes() == np.array(want).tobytes()  # bitwise, so -0.0 stays -0.0
+
+
+@pytest.mark.parametrize("mode", ["joint", "labeled"])
+def test_load_bitwise_equals_per_row_float(tmp_path, mode):
+    rng = np.random.default_rng(21)
+    n = 20_000
+    scores = rng.random(n)
+    seconds = rng.random(n) if mode == "joint" else (rng.random(n) < scores).astype(float)
+    formats = ("{:.6f}", "{!r}", "{:.17g}", "{:.3e}", "{:.2f}")
+    rows = [
+        f"{formats[i % 5].format(s)},{formats[(i // 5) % 5].format(v) if mode == 'joint' else int(v)}"
+        for i, (s, v) in enumerate(zip(scores.tolist(), seconds.tolist()))
+    ]
+    path = _corpus(tmp_path, mode, "\n".join(rows) + "\n")
+    model = sio.load_empirical_csv(path, mode)
+    for got, want in zip(_columns(model), _scan_reference(path)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scenario_tie_seed_reaches_the_sort(tmp_path):
+    pred = np.round(np.random.default_rng(4).random(300), 1)  # ties everywhere
+    (tmp_path / "c.csv").write_text(
+        "score,outcome\n" + "".join(f"{s},{int(s > 0.5)}\n" for s in pred), encoding="utf-8"
+    )
+    for tie_seed in (0, 9):
+        doc = dict(MINIMAL, model={"kind": "empirical_labeled", "path": "c.csv", "tie_seed": tie_seed})
+        model = sio.load_scenario(_write(tmp_path, doc)).model.build()
+        assert model.tie_seed == tie_seed
+        tie = np.random.default_rng(tie_seed).permutation(pred.size)
+        np.testing.assert_array_equal(sm._engine(model).desc_order, np.lexsort((tie, -pred)))
 
 
 def test_load_large_labeled_matches_auc_oracle(tmp_path):

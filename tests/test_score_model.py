@@ -147,6 +147,16 @@ def test_cma_grid_matches_scalar_calls():
         sm.conditional_mean_above_grid(corpus, np.array([0.5, 1.5]))
 
 
+@pytest.mark.parametrize("tie_seed", [0, 1, 7, 123])
+def test_corpus_sort_equals_lexsort_on_ties(tie_seed):
+    rng = np.random.default_rng(tie_seed)
+    pred = np.round(rng.random(5000), 3)  # about five records per distinct score
+    for corpus in (pred, pred[:1]):
+        model = sm.EmpiricalJoint(corpus, np.full(corpus.size, 0.5), tie_seed=tie_seed)
+        tie = np.random.default_rng(tie_seed).permutation(corpus.size)
+        np.testing.assert_array_equal(sm._engine(model).desc_order, np.lexsort((tie, -corpus)))
+
+
 # --- closed forms and the one grid path ---------------------------------------------
 
 SMALL_SHAPES = sm.BetaMixture(((0.4, 0.5, 0.7), (0.6, 3.0, 0.3)))
