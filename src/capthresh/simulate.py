@@ -19,6 +19,10 @@ same cohort, request and allocation draws (common random numbers).  Results
 are bitwise independent of the worker count and of which other taus are
 evaluated alongside.
 
+A trial's served value is summed in individual-index order, as
+``np.where(served, values, 0.0).sum()`` over the whole cohort, so it depends
+only on the served set and not on the order in which allocation found it.
+
 The exact oracles replace Monte Carlo for small instances: the expected served
 count is an exact binomial convolution, and the random-allocation objective
 for a frozen cohort follows from serving each requester with probability
@@ -184,8 +188,10 @@ def _run_trials(model, config, ks, frozen, children, lo, hi) -> np.ndarray:
                 config.m, config.beta1,
             )
             served_flagged = np.count_nonzero(flags[served])
+            served_mask = np.zeros(config.n, dtype=bool)
+            served_mask[served] = True
             out[j, i - lo] = (
-                values[served].sum(),
+                np.where(served_mask, values, 0.0).sum(),
                 served.size,
                 served_flagged,
                 served.size - served_flagged,
