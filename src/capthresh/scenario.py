@@ -54,6 +54,7 @@ DEFAULT_ORACLE_GRID = 21
 MAX_POPULATION = 1_000_000  # population.n and each validate.n_values entry
 MAX_TRIALS = 200_000  # trials
 MAX_POPULATIONS = 100_000  # validate.populations
+MAX_GRID_POINTS = 1001  # oracle_grid and sweep.points: a tau or sweep step of 1e-3
 
 
 class ScenarioError(ValueError):
@@ -240,7 +241,9 @@ def _parse(doc: dict, base_dir: Path) -> Scenario:
     policies = tuple(_policy(spec, f"policies[{i}]") for i, spec in enumerate(policies))
     beta1 = check_field("beta1", doc.get("beta1", [0.0]))
     trials = check_field("trials", doc.get("trials", DEFAULT_TRIALS))
-    oracle_grid = _get(doc, "oracle_grid", int, "scenario", default=DEFAULT_ORACLE_GRID, lo=2)
+    oracle_grid = _get(
+        doc, "oracle_grid", int, "scenario", default=DEFAULT_ORACLE_GRID, lo=2, hi=MAX_GRID_POINTS
+    )
     mu = _mu(doc["mu"]) if "mu" in doc else None
 
     candidates = None
@@ -313,7 +316,7 @@ def _sweep(spec: dict, n: int, m: int | None, dp: float) -> Sweep:
         _fail("sweep.axis", "must be 'rho' or 'p0'")
     lo = _get(spec, "lo", float, "sweep")
     hi = _get(spec, "hi", float, "sweep")
-    points = _get(spec, "points", int, "sweep", lo=2)
+    points = _get(spec, "points", int, "sweep", lo=2, hi=MAX_GRID_POINTS)
     simulate = _get(spec, "simulate", bool, "sweep", default=False)
     if not lo < hi:
         _fail("sweep.lo", "need lo < hi")

@@ -15,9 +15,10 @@ uniforms (individual-index order), then one prioritization tie key and one
 lottery key per individual.  A frozen cohort skips the first two: its flags
 use one permutation drawn from the master seed.  Each trial is drawn once and
 evaluated at every requested tau, so all grid points of a tau search share the
-same cohort, request and allocation draws (common random numbers).  Results
-are bitwise independent of the worker count and of which other taus are
-evaluated alongside.
+same cohort, request and allocation draws (common random numbers).  Trials
+are evaluated in blocks, every flag count of a block at once, but each trial
+still consumes only its own substream.  Results are bitwise independent of the
+worker count, of the blocking and of which other taus are evaluated alongside.
 
 A trial's served value is summed in individual-index order, as
 ``np.where(served, values, 0.0).sum()`` over the whole cohort, so it depends
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -86,72 +88,122 @@ class SimEstimate:
     utilization_mean: float
 
 
-def _top_k_flags(r_hat: np.ndarray, perm: np.ndarray, ks) -> list[np.ndarray]:
-    """Boolean flags of the ``k`` highest predicted scores, one array per ``k``.
+# The trial kernel works on (trial x flag count x individual) arrays.  A block
+# of trials and flag counts holds at most this many cells (one trial and a
+# slice of its flag counts when a trial alone exceeds it), so a call's memory
+# does not grow with the number of flag counts or trials it evaluates.
+_BLOCK_CELLS = 1 << 15
 
-    Each set equals ``np.lexsort((perm, -r_hat))[:k]``: everyone strictly
+
+def _trim_ties(chosen: np.ndarray, key: np.ndarray, cut, k: int, second: np.ndarray) -> None:
+    """Trim ``chosen``, every entry with ``key`` at most ``cut``, to ``k`` entries in place.
+
+    Of the entries tied at the cut, those with the smallest ``second`` stay.
+    """
+    tied = np.flatnonzero(chosen & (key == cut))
+    keep = k - (np.count_nonzero(chosen) - tied.size)
+    chosen[tied[np.argpartition(second[tied], keep - 1)[keep:]]] = False
+
+
+def _top_k_flags(r_hat: np.ndarray, perm: np.ndarray, ks) -> np.ndarray:
+    """Flags of the ``k`` highest predicted scores, one row per ``k`` in ``ks``.
+
+    ``r_hat`` and ``perm`` hold one cohort per row along their last axis;
+    the flags gain an axis of ``len(ks)`` rows before it.  Row ``j`` equals
+    the first ``ks[j]`` of ``np.lexsort((perm, -r_hat))``: everyone strictly
     above the k-th highest score, then the group tied at it in ``perm``
     order.  One partition finds the cut of every ``k``.
     """
     neg = -r_hat
-    cut_ranks = sorted({k - 1 for k in ks if k > 0})
-    part = np.partition(neg, cut_ranks) if cut_ranks else neg
-    out = []
-    for k in ks:
-        if k == 0:
-            out.append(np.zeros(neg.size, dtype=bool))
-            continue
-        cut = part[k - 1]
-        flags = neg < cut
-        need = k - np.count_nonzero(flags)
-        tied = np.flatnonzero(neg == cut)
-        if need < tied.size:
-            tied = tied[np.argpartition(perm[tied], need - 1)[:need]]
-        flags[tied] = True
-        out.append(flags)
-    return out
+    ks = np.asarray(ks)
+    part = np.partition(neg, ks[ks > 0] - 1, axis=-1) if ks.any() else neg
+    cuts = part[..., np.maximum(ks - 1, 0), None]
+    flags = neg[..., None, :] <= cuts
+    flags[..., ks == 0, :] = False
+    for row in zip(*(flags.sum(axis=-1) > ks).nonzero()):
+        cohort = row[:-1]
+        _trim_ties(flags[row], neg[cohort], cuts[row], ks[row[-1]], perm[cohort])
+    return flags
+
+
+@functools.lru_cache(maxsize=8)
+def _flag_permutation(seed: int, n: int) -> np.ndarray:
+    """The tie-break permutation of a frozen cohort's flags (read-only, shared)."""
+    perm = np.random.default_rng(seed).permutation(n)
+    perm.flags.writeable = False
+    return perm
 
 
 def flag_top(population: Population, tau: float, seed=0) -> np.ndarray:
     """Boolean flags for the top (1 - tau) fraction by predicted score.
 
     Exactly ``n - ceil(tau * n)`` individuals are flagged; ties in predicted
-    score are broken by a permutation drawn from ``seed`` (drawn even when no
-    one is flagged).
+    score are broken by a permutation drawn from the integer ``seed`` (drawn
+    even when no one is flagged).
     """
     n = population.n
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = _flag_permutation(operator.index(seed), n)
     return _top_k_flags(population.r_hat, perm, [flagged_count(n, tau)])[0]
 
 
-def _allocate(
-    requesters: np.ndarray,
-    scores: np.ndarray,
+def _frozen_cohort(population: Population, seed: int) -> tuple[Population, np.ndarray]:
+    """A cohort fixed across trials, with each individual's rank in flag order.
+
+    Flags at ``k`` are ``rank < k``: the set :func:`flag_top` picks with the
+    same ``seed``.
+    """
+    n = population.n
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((_flag_permutation(seed, n), -population.r_hat))] = np.arange(n)
+    return population, rank
+
+
+def _smallest(keys: np.ndarray, members: np.ndarray, k: int, second: np.ndarray) -> np.ndarray:
+    """Per row along the last axis, the ``k`` members with the smallest ``keys``.
+
+    A row with at most ``k`` members keeps them all.  Every non-member's key
+    must lie above every member's key in its row.  Ties at the cut go to the
+    smaller ``second`` (broadcast to the rows).  One partition finds every
+    cut.
+    """
+    if k >= keys.shape[-1]:
+        return members.copy()
+    cuts = np.partition(keys, k - 1, axis=-1)[..., k - 1:k]
+    chosen = (keys <= cuts) & members
+    over = (chosen.sum(axis=-1) > k).nonzero()
+    if over[0].size:
+        second = np.broadcast_to(second, keys.shape)
+        for row in zip(*over):
+            _trim_ties(chosen[row], keys[row], cuts[row], k, second[row])
+    return chosen
+
+
+def _serve(
+    requests: np.ndarray,
+    r_hat: np.ndarray,
     tie: np.ndarray,
     lottery: np.ndarray,
     m: int,
     beta1: float,
 ) -> np.ndarray:
-    """Two-stage mixture allocation; all arrays aligned with ``requesters``."""
-    count = requesters.size
-    if count == 0 or m <= 0:
-        return requesters[:0]
-    k1 = min(int(math.floor(beta1 * m + 1e-9)), count, m)
-    if k1 > 0:
-        order = np.lexsort((tie, -scores))
-        top = requesters[order[:k1]]
-        rest_idx = order[k1:]
+    """Two-stage mixture allocation of each row of the request mask ``requests``.
+
+    The ``floor(beta1 * m)`` requesters ranked highest by predicted score
+    (ties to the smaller ``tie`` key) are served first, then the requesters
+    with the smallest ``lottery`` keys fill the remaining slots.  The score
+    and key arrays broadcast against ``requests``.  Returns the served mask;
+    each row serves ``min(m, requests in the row)``.
+    """
+    k1 = min(int(math.floor(beta1 * m + 1e-9)), m)
+    if k1 == 0:
+        served, rest = np.zeros(requests.shape, dtype=bool), requests
     else:
-        top = requesters[:0]
-        rest_idx = np.arange(count)
-    k2 = min(m - k1, rest_idx.size)
-    if k2 <= 0:
-        return top
-    if k2 < rest_idx.size:
-        keep = rest_idx[np.argpartition(lottery[rest_idx], k2 - 1)[:k2]]
-    else:
-        keep = rest_idx
-    return np.concatenate([top, requesters[keep]])
+        served = _smallest(np.where(requests, -r_hat, np.inf), requests, k1, tie)
+        rest = requests & ~served
+    if m > k1:
+        # lottery keys lie in [0, 1): adding 1 to non-members lifts them above every member
+        served |= _smallest(lottery + ~rest, rest, m - k1, tie)
+    return served
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -164,39 +216,52 @@ def _run_trials(model, config, ks, frozen, children, lo, hi) -> np.ndarray:
 
     Returns shape ``(len(ks), hi - lo, 5)``: per flag count and trial, the
     served value, served count, served flagged, served unflagged and request
-    count.  Only one trial's draws are held at a time.
+    count.  Trials are drawn one after another, each from its own generator,
+    and evaluated together in blocks of at most ``_BLOCK_CELLS`` cells.
+    ``frozen`` is a fixed cohort with each individual's rank in flag order
+    (see :func:`_frozen_cohort`), or None to sample a cohort per trial.
     """
-    p = config.params
-    out = np.empty((len(ks), hi - lo, 5))
-    for i in range(lo, hi):
-        rng = np.random.default_rng(children[i])
+    p, n = config.params, config.n
+    ks = np.asarray(ks)
+    k_step = max(1, _BLOCK_CELLS // n)
+    t_step = max(1, _BLOCK_CELLS // (n * ks.size))
+    out = np.empty((ks.size, hi - lo, 5))
+    for t0 in range(lo, hi, t_step):
+        t1 = min(t0 + t_step, hi)
+        # per-trial draws, shaped (trial, 1, individual) to broadcast over flag counts
+        u, tie, lottery = np.empty((3, t1 - t0, 1, n))
         if frozen is None:
-            pop = sample_population(model, config.n, config.binary_mode, seed=rng)
-            flag_sets = _top_k_flags(pop.r_hat, rng.permutation(config.n), ks)
+            r_hat, values = np.empty((2, t1 - t0, 1, n))
+            perm = np.empty((t1 - t0, n), dtype=np.intp)
         else:
-            pop, flag_sets = frozen
-        u = rng.random(config.n)
-        tie = rng.random(config.n)
-        lottery = rng.random(config.n)
+            pop, rank = frozen
+            r_hat = pop.r_hat
+            values = pop.y if (config.binary_mode and pop.y is not None) else pop.r
+        for t in range(t1 - t0):
+            rng = np.random.default_rng(children[t0 + t])
+            if frozen is None:
+                pop = sample_population(model, n, config.binary_mode, seed=rng)
+                r_hat[t, 0] = pop.r_hat
+                values[t, 0] = pop.y if (config.binary_mode and pop.y is not None) else pop.r
+                perm[t] = rng.permutation(n)
+            for draw in (u, tie, lottery):
+                rng.random(out=draw[t, 0])
         requests_unflagged = u < p.p0
-        requests_flagged = u < p.p0 + p.delta_p
-        values = pop.y if (config.binary_mode and pop.y is not None) else pop.r
-        for j, flags in enumerate(flag_sets):
-            requesters = np.flatnonzero(np.where(flags, requests_flagged, requests_unflagged))
-            served = _allocate(
-                requesters, pop.r_hat[requesters], tie[requesters], lottery[requesters],
-                config.m, config.beta1,
-            )
-            served_flagged = np.count_nonzero(flags[served])
-            served_mask = np.zeros(config.n, dtype=bool)
-            served_mask[served] = True
-            out[j, i - lo] = (
-                np.where(served_mask, values, 0.0).sum(),
-                served.size,
-                served_flagged,
-                served.size - served_flagged,
-                requesters.size,
-            )
+        requests_flagged = u < p.p0 + p.delta_p  # a superset: delta_p >= 0
+        for s in range(0, ks.size, k_step):
+            block = ks[s:s + k_step]
+            if frozen is None:
+                flags = _top_k_flags(r_hat[:, 0], perm, block)
+            else:
+                flags = rank < block[:, None]
+            requests = (flags & requests_flagged) | requests_unflagged
+            served = _serve(requests, r_hat, tie, lottery, config.m, config.beta1)
+            rows = out[s:s + k_step, t0 - lo:t1 - lo]
+            rows[..., 0] = np.where(served, values, 0.0).sum(axis=-1).T
+            rows[..., 1] = served.sum(axis=-1).T
+            rows[..., 2] = (served & flags).sum(axis=-1).T
+            rows[..., 3] = rows[..., 1] - rows[..., 2]
+            rows[..., 4] = requests.sum(axis=-1).T
     return out
 
 
@@ -238,8 +303,7 @@ def simulate_taus(
     if population is not None:
         if population.n != config.n:
             raise ValueError("frozen population size must match config.n")
-        perm = np.random.default_rng(config.seed).permutation(config.n)
-        frozen = (population, _top_k_flags(population.r_hat, perm, uniq))
+        frozen = _frozen_cohort(population, config.seed)
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     procs = _pool_size(workers, config.trials)
     if procs <= 1 or config.trials < 4:

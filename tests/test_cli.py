@@ -286,6 +286,13 @@ def test_resource_caps_exit_1_with_field_path(tmp_path, capsys):
     scn = _scenario(tmp_path)
     assert cli.main(["simulate", "--scenario", str(scn), "--trials", str(MAX_TRIALS + 1)]) == 1
     assert "scenario.trials: must be <=" in capsys.readouterr().err
+    # regression: a huge grid loaded and then failed allocating per-tau arrays (exit 2)
+    scn = _scenario(tmp_path, oracle_grid=10**12)
+    assert cli.main(["oracle", "--scenario", str(scn)]) == 1
+    assert "scenario.oracle_grid: must be <=" in capsys.readouterr().err
+    scn = _scenario(tmp_path, sweep={"axis": "p0", "lo": 0.0, "hi": 0.4, "points": 10**12})
+    assert cli.main(["sweep", "--scenario", str(scn)]) == 1
+    assert "sweep.points: must be <=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,8 @@ def test_behavioral_invariant_names_field(tmp_path):
         ("trials", sio.MAX_TRIALS + 1, r"scenario\.trials: must be <= "),
         ("populations", sio.MAX_POPULATIONS + 1, r"validate\.populations: must be <= "),
         ("n_values", [100, sio.MAX_POPULATION + 1], r"validate\.n_values: each value must be <= "),
+        ("oracle_grid", sio.MAX_GRID_POINTS + 1, r"scenario\.oracle_grid: must be <= "),
+        ("points", sio.MAX_GRID_POINTS + 1, r"sweep\.points: must be <= "),
     ],
 )
 def test_resource_caps(tmp_path, field, value, path):
@@ -122,8 +124,10 @@ def test_resource_caps(tmp_path, field, value, path):
         doc["validate"] = {"n_values": [100], "populations": 10}
         if field == "n":
             doc["population"] = {"n": v, "m": 20}
-        elif field == "trials":
-            doc["trials"] = v
+        elif field in ("trials", "oracle_grid"):
+            doc[field] = v
+        elif field == "points":
+            doc["sweep"] = {"axis": "p0", "lo": 0.0, "hi": 0.45, "points": v}
         else:
             doc["validate"][field] = v
         return doc

@@ -56,14 +56,19 @@ def test_top_k_flags_match_lexsort_prefix():
             assert np.array_equal(flags, expect)
 
 
-# --- _allocate -----------------------------------------------------------------
+# --- _serve (allocation) ------------------------------------------------------
 
 
-def _allocate(requesters, scores, m, beta1, rng):
-    # the trial kernel's draws: one tie key, then one lottery key per requester
-    tie = rng.random(requesters.size)
-    lottery = rng.random(requesters.size)
-    return sim._allocate(requesters, scores, tie, lottery, m, beta1)
+def _allocate(requesters, scores, m, beta1, rng, bystanders=0):
+    # the trial kernel's draws: one tie key, then one lottery key per individual;
+    # ``bystanders`` individuals after the requesters do not request
+    n = requesters.size + bystanders
+    scores = np.concatenate([scores, rng.random(bystanders)])
+    tie = rng.random(n)
+    lottery = rng.random(n)
+    requests = np.zeros((1, n), dtype=bool)
+    requests[0, requesters] = True
+    return np.flatnonzero(sim._serve(requests, scores, tie, lottery, m, beta1)[0])
 
 
 def test_allocate_random_uniform_rates():
@@ -84,7 +89,7 @@ def test_allocate_random_uniform_rates():
 def test_allocate_full_prioritization_slack_capacity():
     requesters = np.arange(7)
     scores = np.linspace(0, 1, 7)
-    served = _allocate(requesters, scores, 10, 1.0, np.random.default_rng(0))
+    served = _allocate(requesters, scores, 10, 1.0, np.random.default_rng(0), bystanders=5)
     assert sorted(served) == list(range(7))
 
 
@@ -100,16 +105,17 @@ def test_allocate_mixture_split():
 
 @given(
     n_req=st.integers(0, 60),
+    bystanders=st.integers(0, 20),
     m=st.integers(0, 40),
     beta1=st.floats(0.0, 1.0, allow_nan=False),
     seed=st.integers(0, 10_000),
 )
 @settings(max_examples=150, deadline=None)
-def test_allocate_conserves_capacity(n_req, m, beta1, seed):
+def test_allocate_conserves_capacity(n_req, bystanders, m, beta1, seed):
     rng = np.random.default_rng(seed)
     requesters = np.arange(n_req)
-    scores = rng.random(n_req)
-    served = _allocate(requesters, scores, m, beta1, rng)
+    scores = np.round(rng.random(n_req), 1)  # ties in the priority stage
+    served = _allocate(requesters, scores, m, beta1, rng, bystanders)
     assert served.size == min(n_req, m)
     assert np.unique(served).size == served.size
     assert set(served) <= set(requesters)
@@ -161,10 +167,9 @@ def test_trial_outcome_conservation():
     pop = _uniform_pop(60, seed=8)
     children = np.random.SeedSequence(3).spawn(40)
     cfg = sim.SimConfig(n=60, m=12, params=P, beta1=0.25, trials=40, seed=3)
-    flags = sim.flag_top(pop, 0.7, seed=3)
     k = sm.flagged_count(60, 0.7)
     rows = sim._run_trials(
-        sm.Analytic(sm.Uniform01()), cfg, [k], (pop, [flags]), children, 0, 40
+        sm.Analytic(sm.Uniform01()), cfg, [k], sim._frozen_cohort(pop, 3), children, 0, 40
     )[0]
     for _, served, served_flagged, served_unflagged, requests in rows:
         assert served == min(requests, 12)
@@ -337,7 +342,7 @@ def _tie_corpus():
     return sm.EmpiricalJoint(predicted, true)
 
 
-@pytest.mark.parametrize("beta1", [0.0, 0.5])
+@pytest.mark.parametrize("beta1", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("kind", ["perfect", "noisy_ties", "corpus", "frozen"])
 def test_shared_draws_equal_single_tau_runs(kind, beta1, mixture_perfect):
     models = {
@@ -360,22 +365,95 @@ def test_shared_draws_equal_single_tau_runs(kind, beta1, mixture_perfect):
         assert est == single
 
 
+def _reference_rows(model, config, ks, population, children):
+    """The trial kernel one trial and one flag count at a time.
+
+    Flags are a ``lexsort`` prefix, allocation a ``lexsort`` priority stage
+    and a lottery by sorted key, and the served value the index-order sum
+    the kernel defines.
+    """
+    p, n = config.params, config.n
+    out = np.empty((len(ks), len(children), 5))
+    if population is not None:
+        frozen_perm = np.random.default_rng(config.seed).permutation(n)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        if population is None:
+            pop = sm.sample_population(model, n, config.binary_mode, seed=rng)
+            order = np.lexsort((rng.permutation(n), -pop.r_hat))
+        else:
+            pop = population
+            order = np.lexsort((frozen_perm, -pop.r_hat))
+        u, tie, lottery = rng.random(n), rng.random(n), rng.random(n)
+        values = pop.y if config.binary_mode else pop.r
+        for j, k in enumerate(ks):
+            flags = np.zeros(n, dtype=bool)
+            flags[order[:k]] = True
+            requesters = np.flatnonzero(np.where(flags, u < p.p0 + p.delta_p, u < p.p0))
+            k1 = min(math.floor(config.beta1 * config.m + 1e-9), config.m)
+            by_priority = requesters[np.lexsort((tie[requesters], -pop.r_hat[requesters]))]
+            top, rest = by_priority[:k1], by_priority[k1:]
+            served = np.zeros(n, dtype=bool)
+            served[top] = True
+            served[rest[np.argsort(lottery[rest])[: config.m - top.size]]] = True
+            out[j, i] = (
+                np.where(served, values, 0.0).sum(),
+                served.sum(),
+                (served & flags).sum(),
+                (served & ~flags).sum(),
+                requesters.size,
+            )
+    return out
+
+
+@pytest.mark.parametrize("beta1", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "kind", ["perfect", "noisy", "corpus", "corpus_3_trial_blocks", "corpus_1_row_blocks"]
+)
+def test_run_trials_bitwise_equal_reference(kind, beta1, mixture_perfect, monkeypatch):
+    model = {
+        "perfect": mixture_perfect,
+        "noisy": sm.Analytic(
+            sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))), sm.GaussianNoiseClipped(0.4)
+        ),
+    }.get(kind, _tie_corpus())
+    n, trials = 60, 8
+    children = np.random.SeedSequence(44).spawn(trials)
+    ks = sorted({sm.flagged_count(n, float(t)) for t in np.linspace(0.0, 1.0, 21)})
+    assert ks[0] == 0 and ks[-1] == n
+    # all 8 trials share a block unless split: 3 + 3 + 2 trials, or one (trial, k) row each
+    cells = {"corpus_3_trial_blocks": 3 * len(ks) * n, "corpus_1_row_blocks": 1}
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", cells.get(kind, sim._BLOCK_CELLS))
+    for m in (0, 12, n, 90):
+        for binary_mode in (False, True):
+            cfg = sim.SimConfig(
+                n=n, m=m, params=P, beta1=beta1, trials=trials, seed=7, binary_mode=binary_mode
+            )
+            population = sm.sample_population(model, n, binary_mode, seed=8)
+            for frozen in (None, sim._frozen_cohort(population, cfg.seed)):
+                got = sim._run_trials(model, cfg, ks, frozen, children, 0, trials)
+                pop = None if frozen is None else population
+                expect = _reference_rows(model, cfg, ks, pop, children)
+                assert np.array_equal(got, expect), (m, binary_mode, frozen is None)
+
+
 def test_empty_flag_set_keeps_request_draws(monkeypatch, uniform_perfect):
     # At tau=1 no one is flagged; the tie-break permutation is still drawn,
     # so the request uniforms line up with a run at tau < 1.
     seen = {}
-    top_k_flags, allocate = sim._top_k_flags, sim._allocate
+    top_k_flags, serve = sim._top_k_flags, sim._serve
 
     def record_flags(r_hat, perm, ks):
-        seen["flags"] = top_k_flags(r_hat, perm, ks)[0]
-        return [seen["flags"]]
+        flags = top_k_flags(r_hat, perm, ks)
+        seen["flags"] = flags[0, 0]  # the one trial, the one flag count
+        return flags
 
-    def record_requests(requesters, *rest):
-        seen["requested"] = np.isin(np.arange(50), requesters)
-        return allocate(requesters, *rest)
+    def record_requests(requests, *rest):
+        seen["requested"] = requests[0, 0]
+        return serve(requests, *rest)
 
     monkeypatch.setattr(sim, "_top_k_flags", record_flags)
-    monkeypatch.setattr(sim, "_allocate", record_requests)
+    monkeypatch.setattr(sim, "_serve", record_requests)
     cfg = sim.SimConfig(n=50, m=10, params=P, trials=1, seed=4)
     runs = {}
     for tau in (0.98, 1.0):
