@@ -19,8 +19,11 @@ Thresholds implemented here:
 * critical baseline  p0_bar  -- the smallest baseline request probability at
   which the score-optimal threshold starts to bind.
 
-Everything is a pure function of immutable inputs; sweeps are embarrassingly
-parallel and bitwise independent of evaluation order.
+Everything is a pure function of immutable inputs.  A sweep is solved as a
+whole rather than point by point: the score-optimal thresholds of all its p0
+values in one lockstep bisection, and its objectives from one grid of tail
+means.  Each result is bitwise the single-point one, whatever else the sweep
+holds and in whatever order.
 """
 
 from __future__ import annotations
@@ -153,7 +156,10 @@ class GridOracle(ThresholdPolicy):
             raise ValueError("m must be nonnegative")
         taus = np.linspace(0.0, 1.0, self.grid_size)
         served = np.minimum(params.p0 + params.delta_p * (1.0 - taus), rho)
-        values = np.where(served == 0.0, 0.0, served * _efficacy_grid(taus, model, params))
+        efficacy = _efficacy_grid(
+            taus, conditional_mean_above_grid(model, taus), mean_true_score(model), params.p0, params.delta_p
+        )
+        values = np.where(served == 0.0, 0.0, served * efficacy)
         return _grid_argmax(taus, values)
 
 
@@ -198,6 +204,11 @@ def fluid_served(tau: float, n: float, m: float, params: BehavioralParams) -> fl
 
 def fluid_efficacy(tau: float, model: JointScoreModel, params: BehavioralParams) -> float:
     """Mean true score of a served request at threshold tau."""
+    return _efficacy(tau, model, params, conditional_mean_above)
+
+
+def _efficacy(tau: float, model: JointScoreModel, params: BehavioralParams, tail_mean) -> float:
+    """fluid_efficacy with the tail mean E[r | r_hat >= q(tau)] from tail_mean(model, tau)."""
     w = params.delta_p * (1.0 - tau)
     denom = params.p0 + w
     if denom <= 0.0:
@@ -205,17 +216,22 @@ def fluid_efficacy(tau: float, model: JointScoreModel, params: BehavioralParams)
     er = mean_true_score(model)
     if w == 0.0:
         return er
-    return (params.p0 * er + w * conditional_mean_above(model, tau)) / denom
+    return (params.p0 * er + w * tail_mean(model, tau)) / denom
 
 
 def fluid_objective(
     tau: float, model: JointScoreModel, n: float, m: float, params: BehavioralParams
 ) -> float:
     """Expected total served value in the fluid model."""
+    return _objective(tau, model, n, m, params, conditional_mean_above)
+
+
+def _objective(tau, model, n, m, params, tail_mean) -> float:
+    """fluid_objective with the tail mean from tail_mean(model, tau)."""
     served = fluid_served(tau, n, m, params)
     if served == 0.0:
         return 0.0
-    return served * fluid_efficacy(tau, model, params)
+    return served * _efficacy(tau, model, params, tail_mean)
 
 
 # --- score-optimal threshold ------------------------------------------------
@@ -232,13 +248,32 @@ def first_order_condition(model: JointScoreModel, params: BehavioralParams, tau:
     """
     if params.delta_p == 0:
         raise ValueError("nudge has no effect; score-optimal undefined")
-    er = mean_true_score(model)
-    ratio = params.p0 / params.delta_p
-    if tau >= 1.0:
-        return -ratio * (conditional_mean_top(model) - er)
-    cma = conditional_mean_above(model, tau)
-    cm_at = _engine(model).cond_mean_at(tau)
-    return (1.0 - tau) * (cma - cm_at) - ratio * (cm_at - er)
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be in [0, 1), got {tau}")
+    return float(_foc_grid(model, np.array([params.p0 / params.delta_p]), np.array([tau]))[0])
+
+
+def _foc_grid(model: JointScoreModel, ratio: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """H at each tau of a 1-d array in [0, 1], each with its own p0/delta_p ratio.
+
+    The same arithmetic as first_order_condition, from one call of each
+    engine grid method, so every value is bitwise the single-point one.
+    """
+    eng = _engine(model)
+    er = eng.mean()
+    out = np.empty(taus.shape)
+    top = taus >= 1.0
+    if top.any():
+        out[top] = -ratio[top] * (eng.cond_mean_top() - er)
+    inner = ~top
+    if inner.any():
+        t = taus[inner]
+        cma = eng.cond_mean_above_grid(t)
+        if np.isnan(cma).any():
+            raise ValueError("empty tail")
+        cm_at = eng.cond_mean_at_grid(t)
+        out[inner] = (1.0 - t) * (cma - cm_at) - ratio[inner] * (cm_at - er)
+    return out
 
 
 _SCORE_OPT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -250,64 +285,94 @@ def score_optimal_threshold(
     """Threshold maximizing efficacy per served slot.
 
     Analytic models: bisection on the first-order condition to an interval of
-    1e-8, clamped to 0 when H(0) <= 0 and to 1 when p0 = 0.  Empirical models:
-    argmax of fluid_efficacy on a uniform grid, smallest tau on ties.
+    1e-8, clamped to 1 when p0 = 0, to 0 when H(0) <= 0 and to 1 when
+    H(1) >= 0.  Empirical models: argmax of fluid_efficacy on a uniform grid,
+    smallest tau on ties.  Results are cached per model and (p0, delta_p,
+    grid_size).
+
+    A p0 sweep solves all its points together (see ``gap_curve``): the
+    bisections run in lockstep on the same dyadic midpoints, so each result
+    is bitwise this single-point solve.
     """
-    if params.delta_p == 0:
+    return _score_optimal_thresholds(model, [params.p0], params.delta_p, grid_size)[0]
+
+
+def _score_optimal_thresholds(
+    model: JointScoreModel, p0s, delta_p: float, grid_size: int = DEFAULT_GRID
+) -> list[float]:
+    """score_optimal_threshold at each p0 of a list, at one delta_p.
+
+    The uncached p0 values are solved together: analytic models in one
+    lockstep bisection, corpora on one grid of tail means.
+    """
+    if delta_p == 0:
         raise ValueError("nudge has no effect; score-optimal undefined")
     per_model = _SCORE_OPT_CACHE.setdefault(model, {})
-    key = (params.p0, params.delta_p, grid_size)
-    if key in per_model:
-        return per_model[key]
-    tau = _score_optimal_uncached(model, params, grid_size)
-    per_model[key] = tau
-    return tau
+    todo = [p0 for p0 in dict.fromkeys(p0s) if (p0, delta_p, grid_size) not in per_model]
+    live = [p0 for p0 in todo if p0 != 0]  # p0 = 0 flags no one: tau = 1
+    solved = {}
+    if live and is_empirical(model):
+        solved = dict(zip(live, _empirical_score_optimal(model, live, delta_p, grid_size)))
+    elif live:
+        solved = dict(zip(live, _bisect_score_optimal(model, live, delta_p)))
+    for p0 in todo:
+        per_model[p0, delta_p, grid_size] = solved.get(p0, 1.0)
+    return [per_model[p0, delta_p, grid_size] for p0 in p0s]
 
 
-def _score_optimal_uncached(
-    model: JointScoreModel, params: BehavioralParams, grid_size: int
-) -> float:
-    if params.p0 == 0:
-        return 1.0
-    if is_empirical(model):
-        return _empirical_score_optimal(model, params, grid_size)
-    if first_order_condition(model, params, 0.0) <= 0.0:
-        return 0.0
-    if first_order_condition(model, params, 1.0) >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if first_order_condition(model, params, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
+    """Bisection on H for every p0 at once, clamped to 0 where H(0) <= 0 and
+    to 1 where H(1) >= 0.
+
+    Every interval starts at [0, 1] and halves in step, so all share one
+    dyadic width, run the same number of steps and visit the midpoints of
+    their own single-point bisection.  Each step is one grid evaluation of H.
+    """
+    ratio = np.array(p0s) / delta_p
+    tau = np.empty(ratio.size)
+    h0 = _foc_grid(model, ratio, np.zeros(ratio.size))
+    tau[h0 <= 0.0] = 0.0
+    rest = np.flatnonzero(~(h0 <= 0.0))  # not h0 > 0: a NaN goes on, as past a scalar `if h <= 0`
+    if rest.size:
+        h1 = _foc_grid(model, ratio[rest], np.ones(rest.size))
+        tau[rest[h1 >= 0.0]] = 1.0
+        rest = rest[~(h1 >= 0.0)]
+    if rest.size:
+        ratio = ratio[rest]
+        lo, hi = np.zeros(rest.size), np.ones(rest.size)
+        width = 1.0  # hi - lo of every interval
+        while width > BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            up = _foc_grid(model, ratio, mid) > 0.0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+            width *= 0.5
+        tau[rest] = 0.5 * (lo + hi)
+    return tau.tolist()
 
 
-def _empirical_score_optimal(
-    model: JointScoreModel, params: BehavioralParams, grid_size: int
-) -> float:
-    """Grid argmax of fluid_efficacy, smallest tau on ties.
+def _empirical_score_optimal(model: JointScoreModel, p0s: list, delta_p: float, grid_size: int) -> list[float]:
+    """Grid argmax of fluid_efficacy for every p0, smallest tau on ties.
 
-    Every grid value is bitwise the scalar one.  Grid points below 1 with an
-    empty tail are skipped; at tau = 1 no one is flagged and the efficacy is
-    E[r].
+    The p0 values share one grid of tail means, and every grid value is
+    bitwise the scalar one.  Grid points below 1 with an empty tail are
+    skipped; at tau = 1 no one is flagged and the efficacy is E[r].
     """
     taus = np.linspace(0.0, 1.0, grid_size)
-    return _grid_argmax(taus, _efficacy_grid(taus, model, params))
+    cma = conditional_mean_above_grid(model, taus)
+    er = mean_true_score(model)
+    return [_grid_argmax(taus, _efficacy_grid(taus, cma, er, p0, delta_p)) for p0 in p0s]
 
 
-def _efficacy_grid(taus: np.ndarray, model: JointScoreModel, params: BehavioralParams) -> np.ndarray:
-    """fluid_efficacy at every tau of a grid, with the same elementwise arithmetic.
+def _efficacy_grid(taus: np.ndarray, cma: np.ndarray, er: float, p0: float, delta_p: float) -> np.ndarray:
+    """fluid_efficacy at every tau of a grid with tail means cma, with the same
+    elementwise arithmetic.
 
     NaN below tau = 1 where the tail is empty; E[r] where no one is flagged.
     """
-    er = mean_true_score(model)
-    cma = conditional_mean_above_grid(model, taus)
-    w = params.delta_p * (1.0 - taus)
+    w = delta_p * (1.0 - taus)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(w == 0.0, er, (params.p0 * er + w * cma) / (params.p0 + w))
+        return np.where(w == 0.0, er, (p0 * er + w * cma) / (p0 + w))
 
 
 def _grid_argmax(taus: np.ndarray, values: np.ndarray) -> float:
@@ -407,23 +472,42 @@ def gap_curve(
     sweeps the baseline request probability at fixed rho (required).  The gap
     is W(tau*) - W(tau_policy) >= 0; the relative gap divides by W(tau*) and
     is defined as 0 at degenerate points where W(tau*) = 0.
+
+    The sweep is solved as a whole: a p0 sweep's score-optimal thresholds in
+    one lockstep bisection, then every objective from one grid of tail means.
+    Each value is bitwise the one a point-by-point evaluation gives, and the
+    error raised is the one the first failing point raises there.
     """
     if axis not in ("rho", "p0"):
         raise ValueError("axis must be 'rho' or 'p0'")
     if axis == "p0" and rho is None:
         raise ValueError("p0 sweeps need a fixed rho")
+    xs = [float(x) for x in grid]
+    if axis == "p0" and params.delta_p != 0 and rho > 0:
+        _score_optimal_thresholds(model, _valid_p0s(xs, params.delta_p), params.delta_p)
+    # thresholds point by point; a point that raises stops the sweep, and its
+    # error is raised once the points before it are evaluated
+    plans, failure = [], None
+    try:
+        for x in xs:
+            if axis == "rho":
+                pt_rho, pt_params = x, params
+            else:
+                pt_rho, pt_params = rho, BehavioralParams(x, params.delta_p)
+            plan = [x, pt_rho, pt_params, two_point_threshold(pt_rho, model, pt_params)]
+            plans.append(plan)
+            plan.append(policy.threshold(pt_rho, model, pt_params))
+    except Exception as exc:
+        failure = exc
+    tail_mean = _tail_means(model, [tau for plan in plans for tau in plan[3:]])
     points = []
-    for x in grid:
-        x = float(x)
-        if axis == "rho":
-            pt_rho, pt_params = x, params
-        else:
-            pt_rho, pt_params = rho, BehavioralParams(x, params.delta_p)
+    for x, pt_rho, pt_params, tau_star, *tau_pol in plans:
         m = pt_rho * n
-        tau_star = two_point_threshold(pt_rho, model, pt_params)
-        w_star = fluid_objective(tau_star, model, n, m, pt_params)
-        tau_pol = policy.threshold(pt_rho, model, pt_params)
-        w_pol = fluid_objective(tau_pol, model, n, m, pt_params)
+        w_star = _objective(tau_star, model, n, m, pt_params, tail_mean)
+        if not tau_pol:  # the policy raised at this point
+            break
+        tau_pol = tau_pol[0]
+        w_pol = _objective(tau_pol, model, n, m, pt_params, tail_mean)
         gap = w_star - w_pol
         if gap < -1e-7 * max(1.0, abs(w_star)):
             raise AssertionError(
@@ -442,4 +526,34 @@ def gap_curve(
                 rel_gap=rel,
             )
         )
+    if failure is not None:
+        raise failure
     return points
+
+
+def _valid_p0s(p0s: list[float], delta_p: float) -> list[float]:
+    """The p0 values that form valid BehavioralParams with delta_p."""
+    valid = []
+    for p0 in p0s:
+        try:
+            BehavioralParams(p0, delta_p)
+        except ValueError:
+            continue  # gap_curve raises this at its own point
+        valid.append(p0)
+    return valid
+
+
+def _tail_means(model: JointScoreModel, taus: list[float]):
+    """conditional_mean_above as a lookup, filled by one grid call at taus.
+
+    A tau the grid call cannot answer (outside [0, 1], or with an empty tail)
+    goes to the scalar call, which raises its own error.
+    """
+    grid = [t for t in dict.fromkeys(taus) if 0.0 <= t <= 1.0]
+    table = dict(zip(grid, conditional_mean_above_grid(model, np.array(grid)).tolist())) if grid else {}
+
+    def tail_mean(model: JointScoreModel, tau: float) -> float:
+        cma = table.get(tau, math.nan)
+        return conditional_mean_above(model, tau) if math.isnan(cma) else cma
+
+    return tail_mean

@@ -27,7 +27,7 @@ from .fluid import (
     score_optimal_threshold,
     two_point_threshold,
 )
-from .score_model import JointScoreModel, mean_true_score, tpr_at, tpr_grid
+from .score_model import JointScoreModel, mean_true_score, tpr_grid
 
 RHO_NODES = 201
 TAU_GRID = 2001
@@ -152,13 +152,21 @@ def roc_curve(model: JointScoreModel, grid_size: int = TAU_GRID) -> list[tuple[f
     return list(zip(np.clip(fpr, 0.0, 1.0).tolist(), np.clip(tpr, 0.0, 1.0).tolist()))
 
 
-def _integrand(model: JointScoreModel, rho: float, params: BehavioralParams) -> tuple[float, float, float]:
-    tau_star = two_point_threshold(rho, model, params)
-    tpr = tpr_at(model, tau_star)
-    value = rho * (params.p0 + params.delta_p * tpr) / (
-        params.p0 + params.delta_p * (1.0 - tau_star)
-    )
-    return tau_star, tpr, value
+def _rows(
+    model: JointScoreModel, mu: CapacityDistribution, params: BehavioralParams, rho_nodes: int = RHO_NODES
+) -> list[tuple[float, float, float, float, float]]:
+    """(rho, weight, tau_star, tpr, integrand) at each node of mu, in node order.
+
+    tau_star is each node's (cached) two-point threshold, and one tpr_grid
+    call gives every TPR, bitwise the scalar tpr_at.
+    """
+    nodes = _mu_nodes(mu, rho_nodes)
+    taus = [two_point_threshold(rho, model, params) for rho, _ in nodes]
+    tprs = tpr_grid(model, np.array(taus)).tolist()
+    return [
+        (rho, w, tau, tpr, rho * (params.p0 + params.delta_p * tpr) / (params.p0 + params.delta_p * (1.0 - tau)))
+        for (rho, w), tau, tpr in zip(nodes, taus, tprs)
+    ]
 
 
 def opauc(
@@ -171,7 +179,7 @@ def opauc(
     """Capacity-weighted operational metric; each rho uses its optimal tau."""
     if params.delta_p <= 0:
         raise ValueError("nudge has no effect; OpAUC undefined")
-    return sum(w * _integrand(model, rho, params)[2] for rho, w in _mu_nodes(mu, rho_nodes))
+    return sum(w * value for _, w, _, _, value in _rows(model, mu, params, rho_nodes))
 
 
 def _mu_nodes(mu: CapacityDistribution, rho_nodes: int = RHO_NODES) -> list[tuple[float, float]]:
@@ -242,12 +250,8 @@ def candidate_report(
         auc = auc_rank(model.predicted, model.outcomes)
     else:
         auc = auc_integral(model)
-    rows = []
-    total = 0.0
-    for rho, w in _mu_nodes(mu):
-        tau_star, tpr, value = _integrand(model, rho, params)
-        rows.append((rho, w, tau_star, tpr, value))
-        total += w * value
+    rows = _rows(model, mu, params)
+    total = sum(w * value for _, w, _, _, value in rows)
     return CandidateReport(
         name=candidate.name, auc=auc, opauc=total, table=tuple(rows)
     )

@@ -334,7 +334,7 @@ class EmpiricalJoint:
         if pred.ndim != 1 or pred.size == 0 or pred.shape != true.shape:
             raise ValueError("corpus must be nonempty with matching predicted/true lengths")
         for name, arr in (("predicted", pred), ("true", true)):
-            if arr.min() < 0.0 or arr.max() > 1.0:
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
                 raise ValueError(f"{name} scores must lie in [0, 1]")
 
 
@@ -357,7 +357,7 @@ class EmpiricalLabeled:
         object.__setattr__(self, "outcomes", outc)
         if pred.ndim != 1 or pred.size == 0 or pred.shape != outc.shape:
             raise ValueError("corpus must be nonempty with matching predicted/outcome lengths")
-        if pred.min() < 0.0 or pred.max() > 1.0:
+        if not (pred.min() >= 0.0 and pred.max() <= 1.0):  # NaN fails too
             raise ValueError("predicted scores must lie in [0, 1]")
         if not np.isin(outc, (0.0, 1.0)).all():
             raise ValueError("outcomes must be 0 or 1")
@@ -389,6 +389,9 @@ class Population:
             object.__setattr__(self, "y", y)
             if y.shape != r.shape:
                 raise ValueError("y must match population length")
+        for name, values in (("r", r), ("r_hat", r_hat), ("y", self.y)):
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"population {name} must be finite")
 
     @property
     def n(self) -> int:
@@ -405,9 +408,9 @@ class _Engine:
 
     Each engine implements ``quantile_grid`` and ``cond_mean_above_grid`` on
     1-d arrays of tau (NaN where the tail is empty, always at tau = 1),
-    ``mean``, ``cond_mean_at`` for tau in [0, 1), ``cond_mean_top`` and
-    ``sample``.  The scalar methods call the grid ones with a one-element
-    array, so a grid value is bitwise the scalar one.
+    ``cond_mean_at_grid`` on 1-d arrays of tau in [0, 1), ``mean``,
+    ``cond_mean_top`` and ``sample``.  The scalar methods call the grid ones
+    with a one-element array, so a grid value is bitwise the scalar one.
     """
 
     empirical = False
@@ -421,16 +424,18 @@ class _Engine:
             raise ValueError("empty tail")
         return out
 
+    def cond_mean_at(self, tau: float) -> float:
+        return float(self.cond_mean_at_grid(np.array([tau]))[0])
+
 
 def _memoized(cache: dict, solve, taus: np.ndarray) -> np.ndarray:
-    """solve(taus) elementwise, reusing values cached per tau and caching new ones."""
+    """solve(taus) elementwise, reusing values cached per tau and caching new
+    ones; a tau repeated in ``taus`` is solved once."""
     keys = taus.tolist()
-    out = [cache.get(t) for t in keys]
-    miss = [i for i, v in enumerate(out) if v is None]
+    miss = list(dict.fromkeys(t for t in keys if t not in cache))
     if miss:
-        for i, v in zip(miss, solve(taus[miss]).tolist()):
-            cache[keys[i]] = out[i] = v
-    return np.array(out, dtype=float)
+        cache.update(zip(miss, solve(np.array(miss)).tolist()))
+    return np.array([cache[t] for t in keys], dtype=float)
 
 
 def _population(rng: np.random.Generator, r: np.ndarray, r_hat: np.ndarray, binary_mode: bool) -> Population:
@@ -481,8 +486,8 @@ class _PerfectEngine(_AnalyticEngine):
         out[taus >= 1.0] = np.nan  # no one is flagged
         return out
 
-    def cond_mean_at(self, tau: float) -> float:
-        return self.quantile(tau)
+    def cond_mean_at_grid(self, taus: np.ndarray) -> np.ndarray:
+        return self.quantile_grid(taus)
 
     def cond_mean_top(self) -> float:
         return self.dist.ppf(1.0)
@@ -598,13 +603,13 @@ class _NoisyEngine(_AnalyticEngine):
             out[mid] = tail / (1.0 - taus[mid])
         return out
 
-    def cond_mean_at(self, tau: float) -> float:
+    def cond_mean_at_grid(self, taus: np.ndarray) -> np.ndarray:
         # derivative identity: E[r | r_hat = q(tau)] = -d/dtau [(1-tau) E[r | r_hat >= q(tau)]]
         h = _FD_STEP
-        lo = max(tau - h, 0.0)
-        hi = min(tau + h, 1.0 - 1e-9)
-        g_lo = (1.0 - lo) * self.cond_mean_above(lo)
-        g_hi = (1.0 - hi) * self.cond_mean_above(hi)
+        lo = np.maximum(taus - h, 0.0)
+        hi = np.minimum(taus + h, 1.0 - 1e-9)
+        ends = np.concatenate([lo, hi])
+        g_lo, g_hi = np.split((1.0 - ends) * self.cond_mean_above_grid(ends), 2)
         return -(g_hi - g_lo) / (hi - lo)
 
     def cond_mean_top(self) -> float:
@@ -654,7 +659,7 @@ class _EmpiricalEngine(_Engine):
         with np.errstate(invalid="ignore"):
             return self._top_sums[k] / k  # 0 / 0 = NaN where the tail is empty
 
-    def cond_mean_at(self, tau: float) -> float:
+    def cond_mean_at_grid(self, taus: np.ndarray) -> np.ndarray:
         raise ValueError("conditional_mean_at is undefined for empirical models")
 
     def cond_mean_top(self) -> float:

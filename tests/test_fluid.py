@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -475,3 +476,261 @@ def test_two_point_requires_positive_inputs(uniform_perfect):
         fl.two_point_threshold(0.0, uniform_perfect, P)
     with pytest.raises(ValueError):
         fl.two_point_threshold(0.2, uniform_perfect, fl.BehavioralParams(0.2, 0.0))
+
+
+# --- batched sweeps ----------------------------------------------------------------------
+
+
+_SWEEP_MIX = ((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))
+_SHAPES_BELOW_ONE = ((0.6, 0.5, 0.8), (0.4, 3.0, 0.7))
+
+
+def _sweep_models():
+    """Factories, so that each side of a comparison gets its own engine caches."""
+    mix, low = sm.BetaMixture(_SWEEP_MIX), sm.BetaMixture(_SHAPES_BELOW_ONE)
+    return {
+        "uniform_perfect": lambda: sm.Analytic(sm.Uniform01()),
+        "mixture_perfect": lambda: sm.Analytic(mix),
+        "mixture_noisy_0.1": lambda: sm.Analytic(mix, sm.GaussianNoiseClipped(0.1)),
+        "mixture_noisy_0.4": lambda: sm.Analytic(mix, sm.GaussianNoiseClipped(0.4)),
+        "low_shapes_perfect": lambda: sm.Analytic(low),
+        "low_shapes_noisy": lambda: sm.Analytic(low, sm.GaussianNoiseClipped(0.1)),
+    }
+
+
+def _foc_reference(model, params, tau):
+    """H(tau) from scalar primitives, one tau at a time."""
+    eng = sm._engine(model)
+    er = sm.mean_true_score(model)
+    ratio = params.p0 / params.delta_p
+    if tau >= 1.0:
+        return -ratio * (eng.cond_mean_top() - er)
+    if isinstance(eng, sm._NoisyEngine):
+        h = sm._FD_STEP
+        lo, hi = max(tau - h, 0.0), min(tau + h, 1.0 - 1e-9)
+        g_lo = (1.0 - lo) * eng.cond_mean_above(lo)
+        g_hi = (1.0 - hi) * eng.cond_mean_above(hi)
+        cm_at = -(g_hi - g_lo) / (hi - lo)
+    else:
+        cm_at = eng.cond_mean_at(tau)  # the quantile for a perfect predictor
+    cma = eng.cond_mean_above(tau)
+    return (1.0 - tau) * (cma - cm_at) - ratio * (cm_at - er)
+
+
+def _score_optimal_reference(model, params):
+    """The single-point score-optimal bisection, one scalar H call per step."""
+    if params.p0 == 0:
+        return 1.0
+    if _foc_reference(model, params, 0.0) <= 0.0:
+        return 0.0
+    if _foc_reference(model, params, 1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > fl.BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _foc_reference(model, params, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_P0_GRIDS = (
+    [float(p) for p in np.linspace(0.0, 0.45, 10)],
+    [0.3, 0.05, 0.45, 0.0, 0.12, 0.3, 0.05],  # unsorted, with repeats and p0 = 0
+    [0.1],
+)
+
+
+@pytest.mark.parametrize("name", sorted(_sweep_models()))
+def test_batched_score_optimal_bitwise_the_scalar_bisection(name):
+    make = _sweep_models()[name]
+    dp = 0.5
+    for p0s in _P0_GRIDS:
+        batched = fl._score_optimal_thresholds(make(), p0s, dp)
+        single_model, ref_model = make(), make()
+        single = [fl.score_optimal_threshold(single_model, fl.BehavioralParams(p0, dp)) for p0 in p0s]
+        ref = [_score_optimal_reference(ref_model, fl.BehavioralParams(p0, dp)) for p0 in p0s]
+        assert [t.hex() for t in batched] == [t.hex() for t in ref]
+        assert [t.hex() for t in single] == [t.hex() for t in ref]
+        assert all(t == 1.0 for p0, t in zip(p0s, batched) if p0 == 0.0)
+
+
+def test_batched_score_optimal_clamps(monkeypatch):
+    """H(0) <= 0 clamps to 0 and H(1) >= 0 to 1, point by point in one sweep.
+
+    Under monotone calibration neither clamp is reachable (cond_mean_at(0) <
+    E[r] < cond_mean_top), so stand-in engine methods move each endpoint.
+    """
+    p0s = [0.0, 0.1, 0.3, 0.1, 0.45]
+    dp = 0.5
+    expected = {"low": [1.0, 0.0, 0.0, 0.0, 0.0], "high": [1.0, 1.0, 1.0, 1.0, 1.0]}
+    for case in ("low", "high"):
+        models = [_sweep_models()["mixture_perfect"]() for _ in range(2)]
+        for model in models:
+            eng = sm._engine(model)
+            if case == "low":  # E[r | r_hat = q(0)] above E[r]: H(0) < 0
+                at = eng.cond_mean_at_grid
+                monkeypatch.setattr(eng, "cond_mean_at_grid", lambda t, at=at: np.where(t == 0.0, 0.9, at(t)))
+            else:  # E[r | r_hat = q(1)] below E[r]: H(1) > 0
+                monkeypatch.setattr(eng, "cond_mean_top", lambda: 0.1)
+        batched = fl._score_optimal_thresholds(models[0], p0s, dp)
+        ref = [_score_optimal_reference(models[1], fl.BehavioralParams(p0, dp)) for p0 in p0s]
+        assert batched == ref == expected[case]
+
+
+def test_batched_score_optimal_uses_the_cache():
+    model = _sweep_models()["mixture_perfect"]()
+    first = fl._score_optimal_thresholds(model, [0.1, 0.2], 0.5)
+    cache = fl._SCORE_OPT_CACHE[model]
+    assert cache[0.1, 0.5, fl.DEFAULT_GRID] == first[0]
+    cache[0.2, 0.5, fl.DEFAULT_GRID] = -1.0  # a stored result is returned, not re-solved
+    assert fl._score_optimal_thresholds(model, [0.2, 0.1], 0.5) == [-1.0, first[0]]
+    assert fl.score_optimal_threshold(model, fl.BehavioralParams(0.2, 0.5)) == -1.0
+
+
+def test_first_order_condition_is_bitwise_the_reference():
+    for name, make in sorted(_sweep_models().items()):
+        model, ref_model = make(), make()
+        for params in (P, fl.BehavioralParams(0.3, 0.4)):
+            for tau in (0.0, 0.25, 0.5, 0.7101, 0.999, 1.0):
+                got = fl.first_order_condition(model, params, tau)
+                assert got.hex() == _foc_reference(ref_model, params, tau).hex(), (name, tau)
+
+
+def test_cond_mean_at_grid_is_bitwise_the_scalar():
+    for name, make in sorted(_sweep_models().items()):
+        grid_eng, scalar_eng = sm._engine(make()), sm._engine(make())
+        taus = np.array([0.0, 0.3, 0.5, 0.3, 0.9, 0.99999])
+        got = grid_eng.cond_mean_at_grid(taus)
+        assert [v.hex() for v in got.tolist()] == [scalar_eng.cond_mean_at(float(t)).hex() for t in taus], name
+
+
+def _gap_curve_reference(policy, *, axis, grid, model, params, rho=None, n=1.0):
+    """gap_curve point by point, one scalar fluid_objective per threshold."""
+    points = []
+    for x in grid:
+        x = float(x)
+        if axis == "rho":
+            pt_rho, pt_params = x, params
+        else:
+            pt_rho, pt_params = rho, fl.BehavioralParams(x, params.delta_p)
+        m = pt_rho * n
+        tau_star = fl.two_point_threshold(pt_rho, model, pt_params)
+        w_star = fl.fluid_objective(tau_star, model, n, m, pt_params)
+        tau_pol = policy.threshold(pt_rho, model, pt_params)
+        w_pol = fl.fluid_objective(tau_pol, model, n, m, pt_params)
+        gap = w_star - w_pol
+        if gap < -1e-7 * max(1.0, abs(w_star)):
+            raise AssertionError(f"two-point threshold beaten at {axis}={x}: {w_pol} > {w_star}")
+        gap = max(gap, 0.0)
+        rel = gap / w_star if w_star > 0.0 else 0.0
+        points.append(fl.GapPoint(x, tau_pol, tau_star, w_pol, w_star, gap, rel))
+    return points
+
+
+def _bits(points):
+    return [tuple(float(v).hex() for v in dataclasses.astuple(p)) for p in points]
+
+
+def _corpus_2000():
+    rng = np.random.default_rng(31)
+    true = rng.beta(2.0, 5.0, 2000)
+    pred = np.clip(true + 0.15 * rng.standard_normal(2000), 0.0, 1.0)
+    return sm.EmpiricalJoint(np.round(pred, 3), true, tie_seed=4)
+
+
+def test_gap_curve_rows_bitwise_the_point_by_point_evaluation():
+    models = {**_sweep_models(), "corpus_2000": _corpus_2000}
+    analytic_policies = (fl.TwoPointOptimal(), fl.CapacityMatching(), fl.Fixed(0.8), fl.ScoreOptimal())
+    for name, make in sorted(models.items()):
+        policies = (fl.TwoPointOptimal(), fl.Fixed(0.8), fl.Fixed(0.6)) if name == "corpus_2000" else analytic_policies
+        for policy in policies:
+            for axis, grid, rho in (
+                ("rho", np.linspace(0.02, 0.7, 12), None),
+                ("p0", np.linspace(0.0, 0.45, 10), 0.2),
+                ("p0", [0.3, 0.05, 0.3, 0.0], 0.2),
+            ):
+                kw = dict(axis=axis, grid=grid, params=P, rho=rho, n=1000)
+                got = fl.gap_curve(policy, model=make(), **kw)
+                ref = _gap_curve_reference(policy, model=make(), **kw)
+                assert _bits(got) == _bits(ref), (name, policy.label, axis)
+
+
+def _count_engine_grid_calls(monkeypatch, model):
+    eng = sm._engine(model)
+    calls = []
+    for meth in ("quantile_grid", "cond_mean_above_grid", "cond_mean_at_grid"):
+        inner = getattr(eng, meth)
+
+        def counted(taus, inner=inner, meth=meth):
+            calls.append(meth)
+            return inner(taus)
+
+        monkeypatch.setattr(eng, meth, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["mixture_perfect", "mixture_noisy_0.1"])
+def test_p0_sweep_engine_calls_do_not_grow_with_points(monkeypatch, name):
+    counts = []
+    for points in (4, 40):
+        model = _sweep_models()[name]()
+        calls = _count_engine_grid_calls(monkeypatch, model)
+        grid = np.linspace(0.02, 0.45, points)
+        for policy in (fl.TwoPointOptimal(), fl.CapacityMatching(), fl.Fixed(0.8)):
+            fl.gap_curve(policy, axis="p0", grid=grid, model=model, params=P, rho=0.2, n=1000)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    # one lockstep bisection of about 30 steps of a few calls each, then a
+    # tail-mean call per curve
+    assert counts[0] <= 200
+
+
+def _error(fn, **kw):
+    with pytest.raises(Exception) as info:
+        fn(**kw)
+    return type(info.value), str(info.value)
+
+
+class _FailingPolicy:
+    """A stand-in policy that raises above a capacity ratio of 0.25."""
+
+    label = "failing"
+
+    def threshold(self, rho, model, params):
+        if rho > 0.25:
+            raise RuntimeError(f"no threshold at rho={rho}")
+        return 0.8
+
+
+def test_gap_curve_errors_match_the_point_by_point_evaluation():
+    joint = _oracle_models()["joint_500"]
+    beaten = dict(axis="rho", grid=[0.2, 0.25, 0.3], params=P)
+    empty_tail = dict(axis="p0", grid=[0.1, 0.2], params=P, rho=0.2)
+    cases = [
+        # ROADMAP item 2: the grid oracle beats the two-point rule on a small corpus
+        (fl.GridOracle(2001), joint, beaten),
+        # a policy tau in the empty tail of a corpus
+        (fl.Fixed(0.9999), joint, empty_tail),
+        # the policy raises after the point's two-point objective is evaluated
+        (_FailingPolicy(), _sweep_models()["mixture_noisy_0.1"], dict(axis="rho", grid=[0.2, 0.3, 0.4], params=P)),
+        # n < 1 is raised at the first point, before a later invalid p0
+        (fl.Fixed(0.8), _sweep_models()["mixture_perfect"],
+         dict(axis="p0", grid=[0.1, 0.2, 0.7], params=P, rho=0.2, n=0.5)),
+        # an invalid p0 after valid points
+        (fl.Fixed(0.8), _sweep_models()["mixture_noisy_0.1"],
+         dict(axis="p0", grid=[0.1, 0.2, 0.7, 0.3], params=P, rho=0.2)),
+        # a nonpositive capacity ratio in the middle of a rho sweep
+        (fl.CapacityMatching(), _sweep_models()["uniform_perfect"],
+         dict(axis="rho", grid=[0.1, 0.0, 0.3], params=P)),
+        # no nudge effect
+        (fl.Fixed(0.8), _sweep_models()["uniform_perfect"],
+         dict(axis="p0", grid=[0.1, 0.2], params=fl.BehavioralParams(0.1, 0.0), rho=0.2)),
+    ]
+    for policy, make, kw in cases:
+        got = _error(fl.gap_curve, policy=policy, model=make(), **kw)
+        assert got == _error(_gap_curve_reference, policy=policy, model=make(), **kw)
+    kind, message = _error(fl.gap_curve, policy=fl.GridOracle(2001), model=joint(), **beaten)
+    assert kind is AssertionError and message.startswith("two-point threshold beaten at rho=0.25:")
+    assert _error(fl.gap_curve, policy=fl.Fixed(0.9999), model=joint(), **empty_tail) == (ValueError, "empty tail")

@@ -182,6 +182,41 @@ def test_tpr_curves_equal_scalar_loops(name):
     assert mt.opauc_uniform_closed_form(grid_model, 0.3, 0.5, P) == closed
 
 
+def _rows_loop(model, mu, params):
+    """OpAUC audit rows node by node, one scalar tpr_at per node."""
+    rows = []
+    for rho, w in mt._mu_nodes(mu):
+        tau = fl.two_point_threshold(rho, model, params)
+        tpr = sm.tpr_at(model, tau)
+        value = rho * (params.p0 + params.delta_p * tpr) / (params.p0 + params.delta_p * (1.0 - tau))
+        rows.append((rho, w, tau, tpr, value))
+    return rows
+
+
+def _small_labeled():
+    # 300 rows, fewer than the 2001-point tau grid: corpus tails can be empty
+    rng = np.random.default_rng(5)
+    scores = np.round(rng.random(300), 2)
+    return sm.EmpiricalLabeled(scores, (rng.random(300) < scores).astype(float), tie_seed=1)
+
+
+@pytest.mark.parametrize("name", [*sorted(_curve_models()), "labeled_300"])
+def test_candidate_report_rows_equal_scalar_loop(name):
+    make = {**_curve_models(), "labeled_300": _small_labeled}[name]
+    for mu in (mt.UniformRatio(0.05, 0.6), mt.Atoms(((0.01, 0.25), (0.2, 0.5), (0.9, 0.25)))):
+        for params in (P, fl.BehavioralParams(0.0, 0.5), fl.BehavioralParams(0.3, 0.6)):
+            report = mt.candidate_report(mt.AlgorithmCandidate("a", make()), mu, params)
+            rows = _rows_loop(make(), mu, params)
+            assert [tuple(v.hex() for v in row) for row in report.table] == [
+                tuple(float(v).hex() for v in row) for row in rows
+            ]
+            total = 0.0
+            for _, w, _, _, value in rows:
+                total += w * value
+            assert report.opauc.hex() == total.hex()
+            assert mt.opauc(make(), mu, params).hex() == total.hex()
+
+
 # --- opauc ---------------------------------------------------------------------------
 
 

@@ -46,6 +46,18 @@ def test_labeled_outcomes_binary():
         sm.EmpiricalLabeled(np.array([0.5, 0.6]), np.array([0.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_corpus_scores_outside_unit_interval_rejected(bad):
+    # NaN once passed the range check, since every comparison with it is false
+    good, broken = np.array([0.2, 0.5, 0.9]), np.array([0.2, bad, 0.9])
+    with pytest.raises(ValueError, match=r"predicted scores must lie in \[0, 1\]"):
+        sm.EmpiricalJoint(broken, good)
+    with pytest.raises(ValueError, match=r"true scores must lie in \[0, 1\]"):
+        sm.EmpiricalJoint(good, broken)
+    with pytest.raises(ValueError, match=r"predicted scores must lie in \[0, 1\]"):
+        sm.EmpiricalLabeled(broken, np.array([0.0, 1.0, 1.0]))
+
+
 def test_mixture_cdf_bitwise_equals_scipy_stats():
     x = np.concatenate([np.linspace(-0.5, 1.5, 4001), [0.0, 1.0, np.nan]])
     small_shapes = sm.BetaMixture(((0.4, 0.5, 0.7), (0.6, 3.0, 0.3)))

@@ -16,6 +16,40 @@ def _uniform_pop(n, seed=0):
     return sm.sample_population(sm.Analytic(sm.Uniform01(), sm.Perfect()), n, seed=seed)
 
 
+# --- non-finite cohorts ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["r", "r_hat", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_population_rejects_non_finite(field, bad):
+    arrays = {"r": np.linspace(0.1, 0.9, 10), "r_hat": np.linspace(0.1, 0.9, 10), "y": np.ones(10)}
+    arrays[field][3] = bad
+    with pytest.raises(ValueError, match=f"population {field} must be finite"):
+        sm.Population(**arrays)
+
+
+def _nan_score_cohort():
+    r = np.linspace(0.1, 0.9, 10)
+    r_hat = r.copy()
+    r_hat[4] = math.nan
+    return sm.Population(r=r, r_hat=r_hat)
+
+
+def test_simulate_taus_rejects_a_non_finite_cohort():
+    # this cohort once gave a mean of 1.787 at tau = 0.5: the NaN individual
+    # sorted last and was never flagged
+    model = sm.Analytic(sm.Uniform01())
+    cfg = sim.SimConfig(n=10, m=3, params=P, trials=200, seed=1)
+    with pytest.raises(ValueError, match="population r_hat must be finite"):
+        sim.simulate_taus(cfg, [0.5, 0.8], model, population=_nan_score_cohort())
+
+
+def test_exact_objective_random_rejects_a_non_finite_cohort():
+    # this cohort once gave 1.807
+    with pytest.raises(ValueError, match="population r_hat must be finite"):
+        sim.exact_objective_random(_nan_score_cohort(), 0.5, 3, P)
+
+
 # --- flag_top -----------------------------------------------------------------
 
 

@@ -1,0 +1,93 @@
+"""Print the byte-identity table of the demo outputs, one md5 column per checkout.
+
+    python tools/output_md5.py [[LABEL=]ROOT ...]
+
+For each checkout ROOT (default: the one holding this script) it runs, with
+``ROOT/src`` first on PYTHONPATH and ROOT as the working directory:
+
+* the seven demo CLI runs, ``python -m capthresh <command> --scenario
+  demos/scenarios/<scenario>.json``;
+* the five demo scripts, ``python demos/0*.py``;
+
+and then hashes every file in ``ROOT/demos/output``.  That directory holds
+only what these runs write, so it is emptied first.  The table goes to
+stdout as Markdown, one row per stdout or file and one md5 column per
+checkout; the exit column lists each checkout's exit code where they differ.
+A last line on stderr counts the rows whose md5s differ between checkouts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CLI_RUNS = [
+    ("threshold", "operating_point"),
+    ("simulate", "operating_point"),
+    ("oracle", "operating_point"),
+    ("sweep", "rho_sweep"),
+    ("sweep", "p0_sweep"),
+    ("opauc", "selection"),
+    ("validate", "validate"),
+]
+
+
+def _md5(data: bytes) -> str:
+    return hashlib.md5(data).hexdigest()
+
+
+def _run(root: Path, argv: list[str]) -> tuple[int, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True)
+    return done.returncode, _md5(done.stdout)
+
+
+def hash_checkout(root: Path) -> dict[str, tuple[str, str]]:
+    """{row label: (exit code or "", md5)} for one checkout."""
+    out_dir = root / "demos" / "output"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in out_dir.iterdir():
+        if path.is_file():
+            path.unlink()
+    rows = {}
+    for cmd, scenario in CLI_RUNS:
+        code, md5 = _run(root, ["-m", "capthresh", cmd, "--scenario", f"demos/scenarios/{scenario}.json"])
+        rows[f"capthresh {cmd}/{scenario} stdout"] = (str(code), md5)
+    for script in sorted((root / "demos").glob("0*.py")):
+        code, md5 = _run(root, [f"demos/{script.name}"])
+        rows[f"python demos/{script.name} stdout"] = (str(code), md5)
+    for path in sorted(out_dir.iterdir()):
+        if path.is_file():
+            rows[f"demos/output/{path.name}"] = ("", _md5(path.read_bytes()))
+    return rows
+
+
+def main(argv: list[str]) -> int:
+    specs = argv or [str(Path(__file__).resolve().parent.parent)]
+    labels, tables = [], []
+    for spec in specs:
+        label, sep, root = spec.partition("=")
+        if not sep:
+            label, root = Path(spec).resolve().name, spec
+        labels.append(label)
+        tables.append(hash_checkout(Path(root).resolve()))
+    names = list(dict.fromkeys(name for table in tables for name in table))
+    print("| run or file | exit | " + " | ".join(f"md5 at {label}" for label in labels) + " |")
+    print("|---|---|" + "---|" * len(labels))
+    differ = 0
+    for name in names:
+        cells = [table.get(name, ("missing", "missing")) for table in tables]
+        codes = list(dict.fromkeys(code for code, _ in cells))
+        md5s = [md5 for _, md5 in cells]
+        differ += len(set(md5s)) > 1
+        print(f"| {name} | {'/'.join(codes)} | " + " | ".join(md5s) + " |")
+    print(f"{len(names)} rows, {differ} with differing md5s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
