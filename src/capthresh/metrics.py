@@ -41,8 +41,8 @@ class UniformRatio:
     hi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi):
-            raise ValueError("need 0 <= lo < hi")
+        if not (0.0 < self.lo < self.hi):
+            raise ValueError("need 0 < lo < hi")
 
 
 @dataclass(frozen=True)

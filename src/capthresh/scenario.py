@@ -359,8 +359,8 @@ def _mu(spec) -> CapacityDistribution:
         _keys(spec, {"kind", "lo", "hi"}, "mu")
         lo = _get(spec, "lo", float, "mu")
         hi = _get(spec, "hi", float, "mu")
-        if not 0.0 <= lo < hi:
-            _fail("mu.lo", "need 0 <= lo < hi")
+        if not 0.0 < lo < hi:
+            _fail("mu.lo", "need 0 < lo < hi")
         return UniformRatio(lo, hi)
     if kind == "atoms":
         _keys(spec, {"kind", "atoms"}, "mu")

@@ -166,9 +166,6 @@ class Uniform01:
     def mean(self) -> float:
         return 0.5
 
-    def pdf(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
     def cdf(self, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
@@ -511,9 +508,12 @@ class _NoisyEngine(_AnalyticEngine):
     true-score law on the Gauss rule of each beta component, scaled by its
     weight, so no density is evaluated and shapes below 1 lose no mass;
     clipping shows up as atoms at 0 and 1 split fractionally, matching the
-    top-(1-tau) flagging rule.  ceil(3 / sigma) nodes resolve the kernel; the
-    cap _MAX_NODES keeps that down to sigma ~ 0.0015 (at sigma = 0.001 a cdf
-    is off by about 1e-8).  The rule is built on first use, not by sampling.
+    top-(1-tau) flagging rule.  ceil(3 / sigma) nodes resolve the kernel down
+    to sigma ~ 0.003, where the cap _MAX_NODES binds.  Below that the kernel is
+    narrower than the node spacing and the rule degrades: at sigma = 1e-4 a
+    cdf is off by up to 1.8e-4, and at sigma = 1e-7 the demo mixture's
+    score-optimal threshold comes out as 1.0.  The rule is built on first use,
+    not by sampling.
     """
 
     def __init__(self, dist: TrueScoreDistribution, sigma: float):
@@ -779,16 +779,11 @@ def tpr_at(model: JointScoreModel, tau: float) -> float:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    er = mean_true_score(model)
-    if er == 0.0:
-        raise ValueError("no positives")
-    cma = float(_engine(model).cond_mean_above_grid(np.array([tau]))[0])
-    return 0.0 if math.isnan(cma) else (1.0 - tau) * cma / er
+    return float(tpr_grid(model, np.array([tau]))[0])
 
 
 def tpr_grid(model: JointScoreModel, taus: np.ndarray) -> np.ndarray:
-    """tpr_at at every tau of a 1-d array in [0, 1], with the same arithmetic
-    on the same tail means, so bitwise equal to the scalar call.
+    """tpr_at at every tau of a 1-d array in [0, 1]; tpr_at is its one-element call.
 
     0 where the tail is empty, as the tail mean is NaN exactly there.
     """

@@ -8,6 +8,11 @@ requesters, the remaining ``m - floor(beta1 * m)`` slots are a uniform lottery
 over requesters not yet served (beta1 = 0 is pure random allocation, beta1 = 1
 pure prioritization; capacity is conserved).
 
+Flags and both allocation stages are one selection (``_smallest``): per
+cohort, the k smallest keys among those eligible, ties to a second key --
+-r_hat and the tie-break permutation for flags, -r_hat of requesters and the
+tie key for priority, the lottery keys of the unserved for the lottery.
+
 RNG contract: the master seed spawns one independent substream per trial
 index.  Within a trial, draws are consumed in a fixed order -- cohort draws,
 flag tie-break permutation (drawn even when no one is flagged), request
@@ -95,35 +100,38 @@ class SimEstimate:
 _BLOCK_CELLS = 1 << 15
 
 
-def _trim_ties(chosen: np.ndarray, key: np.ndarray, cut, k: int, second: np.ndarray) -> None:
-    """Trim ``chosen``, every entry with ``key`` at most ``cut``, to ``k`` entries in place.
+def _smallest(keys: np.ndarray, ks, second: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
+    """Per row along the last axis and per ``k`` in ``ks``, the ``k`` smallest ``keys``.
 
-    Of the entries tied at the cut, those with the smallest ``second`` stay.
+    Only ``members`` (default: everyone) are chosen, and a row with at most
+    ``k`` members keeps them all; a non-member's key must be at least every
+    member's key in its row.  Ties at the cut go to the smaller ``second``.
+    ``second`` and ``members`` broadcast against ``keys``; the result gains an
+    axis of ``len(ks)`` rows before the last.  One partition finds every cut.
     """
-    tied = np.flatnonzero(chosen & (key == cut))
-    keep = k - (np.count_nonzero(chosen) - tied.size)
-    chosen[tied[np.argpartition(second[tied], keep - 1)[keep:]]] = False
-
-
-def _top_k_flags(r_hat: np.ndarray, perm: np.ndarray, ks) -> np.ndarray:
-    """Flags of the ``k`` highest predicted scores, one row per ``k`` in ``ks``.
-
-    ``r_hat`` and ``perm`` hold one cohort per row along their last axis;
-    the flags gain an axis of ``len(ks)`` rows before it.  Row ``j`` equals
-    the first ``ks[j]`` of ``np.lexsort((perm, -r_hat))``: everyone strictly
-    above the k-th highest score, then the group tied at it in ``perm``
-    order.  One partition finds the cut of every ``k``.
-    """
-    neg = -r_hat
     ks = np.asarray(ks)
-    part = np.partition(neg, ks[ks > 0] - 1, axis=-1) if ks.any() else neg
-    cuts = part[..., np.maximum(ks - 1, 0), None]
-    flags = neg[..., None, :] <= cuts
-    flags[..., ks == 0, :] = False
-    for row in zip(*(flags.sum(axis=-1) > ks).nonzero()):
-        cohort = row[:-1]
-        _trim_ties(flags[row], neg[cohort], cuts[row], ks[row[-1]], perm[cohort])
-    return flags
+    n = keys.shape[-1]
+    if n == 0:
+        return np.zeros(keys.shape[:-1] + ks.shape + (0,), dtype=bool)
+    kth = np.minimum(ks, n) - 1  # k >= n cuts at the largest key; k = 0 is cleared below
+    if kth.size == 1:  # a scalar kth partitions faster than a one-element array
+        cuts = np.partition(keys, kth[0], axis=-1)[..., kth[0], None]
+    else:
+        cuts = np.partition(keys, kth, axis=-1)[..., kth]
+    chosen = keys[..., None, :] <= cuts[..., None]
+    if not ks.all():
+        chosen[..., ks <= 0, :] = False
+    if members is not None:
+        chosen &= members[..., None, :]
+    # a row with more than k chosen has too many tied at the cut: drop the tied
+    # ones with the largest ``second`` (int32 counts faster than the default int64)
+    for row in zip(*(chosen.sum(axis=-1, dtype=np.int32) > ks).nonzero()):
+        cohort, k, picked = row[:-1], ks[row[-1]], chosen[row]
+        tied = np.flatnonzero(picked & (keys[cohort] == cuts[row]))
+        keep = k - (np.count_nonzero(picked) - tied.size)
+        order = np.argpartition(np.broadcast_to(second, keys.shape)[cohort][tied], keep - 1)
+        picked[tied[order[keep:]]] = False
+    return chosen
 
 
 @functools.lru_cache(maxsize=8)
@@ -143,39 +151,7 @@ def flag_top(population: Population, tau: float, seed=0) -> np.ndarray:
     """
     n = population.n
     perm = _flag_permutation(operator.index(seed), n)
-    return _top_k_flags(population.r_hat, perm, [flagged_count(n, tau)])[0]
-
-
-def _frozen_cohort(population: Population, seed: int) -> tuple[Population, np.ndarray]:
-    """A cohort fixed across trials, with each individual's rank in flag order.
-
-    Flags at ``k`` are ``rank < k``: the set :func:`flag_top` picks with the
-    same ``seed``.
-    """
-    n = population.n
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.lexsort((_flag_permutation(seed, n), -population.r_hat))] = np.arange(n)
-    return population, rank
-
-
-def _smallest(keys: np.ndarray, members: np.ndarray, k: int, second: np.ndarray) -> np.ndarray:
-    """Per row along the last axis, the ``k`` members with the smallest ``keys``.
-
-    A row with at most ``k`` members keeps them all.  Every non-member's key
-    must lie above every member's key in its row.  Ties at the cut go to the
-    smaller ``second`` (broadcast to the rows).  One partition finds every
-    cut.
-    """
-    if k >= keys.shape[-1]:
-        return members.copy()
-    cuts = np.partition(keys, k - 1, axis=-1)[..., k - 1:k]
-    chosen = (keys <= cuts) & members
-    over = (chosen.sum(axis=-1) > k).nonzero()
-    if over[0].size:
-        second = np.broadcast_to(second, keys.shape)
-        for row in zip(*over):
-            _trim_ties(chosen[row], keys[row], cuts[row], k, second[row])
-    return chosen
+    return _smallest(-population.r_hat, [flagged_count(n, tau)], perm)[0]
 
 
 def _serve(
@@ -198,11 +174,12 @@ def _serve(
     if k1 == 0:
         served, rest = np.zeros(requests.shape, dtype=bool), requests
     else:
-        served = _smallest(np.where(requests, -r_hat, np.inf), requests, k1, tie)
+        # 1 - r_hat for non-requesters: at or above every requester's -r_hat
+        served = _smallest(~requests - r_hat, [k1], tie, requests)[..., 0, :]
         rest = requests & ~served
     if m > k1:
-        # lottery keys lie in [0, 1): adding 1 to non-members lifts them above every member
-        served |= _smallest(lottery + ~rest, rest, m - k1, tie)
+        # lottery keys lie in [0, 1): adding 1 lifts non-members above every member
+        served |= _smallest(lottery + ~rest, [m - k1], tie, rest)[..., 0, :]
     return served
 
 
@@ -211,53 +188,48 @@ def _pool_size(workers: int, trials: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, trials))
 
 
-def _run_trials(model, config, ks, frozen, children, lo, hi) -> np.ndarray:
+def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
     """Trials ``lo..hi-1``, each drawn once and evaluated at every flag count.
 
     Returns shape ``(len(ks), hi - lo, 5)``: per flag count and trial, the
     served value, served count, served flagged, served unflagged and request
     count.  Trials are drawn one after another, each from its own generator,
     and evaluated together in blocks of at most ``_BLOCK_CELLS`` cells.
-    ``frozen`` is a fixed cohort with each individual's rank in flag order
-    (see :func:`_frozen_cohort`), or None to sample a cohort per trial.
+    ``population`` is a cohort fixed across trials, flagged with the
+    permutation :func:`flag_top` draws from ``config.seed``, or None to sample
+    a cohort per trial.
     """
     p, n = config.params, config.n
     ks = np.asarray(ks)
     k_step = max(1, _BLOCK_CELLS // n)
     t_step = max(1, _BLOCK_CELLS // (n * ks.size))
     out = np.empty((ks.size, hi - lo, 5))
+    if population is not None:  # one (1, n) row that broadcasts over the trials
+        pop, perm = population, _flag_permutation(config.seed, n)
+        r_hat, values = pop.r_hat[None], (pop.y if config.binary_mode and pop.y is not None else pop.r)[None]
     for t0 in range(lo, hi, t_step):
         t1 = min(t0 + t_step, hi)
         # per-trial draws, shaped (trial, 1, individual) to broadcast over flag counts
         u, tie, lottery = np.empty((3, t1 - t0, 1, n))
-        if frozen is None:
-            r_hat, values = np.empty((2, t1 - t0, 1, n))
+        if population is None:
+            r_hat, values = np.empty((2, t1 - t0, n))
             perm = np.empty((t1 - t0, n), dtype=np.intp)
-        else:
-            pop, rank = frozen
-            r_hat = pop.r_hat
-            values = pop.y if (config.binary_mode and pop.y is not None) else pop.r
         for t in range(t1 - t0):
             rng = np.random.default_rng(children[t0 + t])
-            if frozen is None:
+            if population is None:
                 pop = sample_population(model, n, config.binary_mode, seed=rng)
-                r_hat[t, 0] = pop.r_hat
-                values[t, 0] = pop.y if (config.binary_mode and pop.y is not None) else pop.r
+                r_hat[t], values[t] = pop.r_hat, pop.y if config.binary_mode else pop.r
                 perm[t] = rng.permutation(n)
             for draw in (u, tie, lottery):
                 rng.random(out=draw[t, 0])
         requests_unflagged = u < p.p0
         requests_flagged = u < p.p0 + p.delta_p  # a superset: delta_p >= 0
         for s in range(0, ks.size, k_step):
-            block = ks[s:s + k_step]
-            if frozen is None:
-                flags = _top_k_flags(r_hat[:, 0], perm, block)
-            else:
-                flags = rank < block[:, None]
+            flags = _smallest(-r_hat, ks[s:s + k_step], perm)
             requests = (flags & requests_flagged) | requests_unflagged
-            served = _serve(requests, r_hat, tie, lottery, config.m, config.beta1)
+            served = _serve(requests, r_hat[:, None], tie, lottery, config.m, config.beta1)
             rows = out[s:s + k_step, t0 - lo:t1 - lo]
-            rows[..., 0] = np.where(served, values, 0.0).sum(axis=-1).T
+            rows[..., 0] = np.where(served, values[:, None], 0.0).sum(axis=-1).T
             rows[..., 1] = served.sum(axis=-1).T
             rows[..., 2] = (served & flags).sum(axis=-1).T
             rows[..., 3] = rows[..., 1] - rows[..., 2]
@@ -299,20 +271,19 @@ def simulate_taus(
     """
     ks = [flagged_count(config.n, float(t)) for t in taus]
     uniq = sorted(set(ks))
-    frozen = None
-    if population is not None:
-        if population.n != config.n:
-            raise ValueError("frozen population size must match config.n")
-        frozen = _frozen_cohort(population, config.seed)
+    if population is not None and population.n != config.n:
+        raise ValueError("frozen population size must match config.n")
+    if not uniq:
+        return []
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     procs = _pool_size(workers, config.trials)
     if procs <= 1 or config.trials < 4:
-        rows = _run_trials(model, config, uniq, frozen, children, 0, config.trials)
+        rows = _run_trials(model, config, uniq, population, children, 0, config.trials)
     else:
         bounds = np.linspace(0, config.trials, procs + 1).astype(int)
         with ProcessPoolExecutor(max_workers=procs) as pool:
             futs = [
-                pool.submit(_run_trials, model, config, uniq, frozen, children, lo, hi)
+                pool.submit(_run_trials, model, config, uniq, population, children, lo, hi)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]

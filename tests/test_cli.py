@@ -156,6 +156,16 @@ def test_opauc_small_corpus_candidate_exits_0(tmp_path, capsys):
     assert by_name["corpus"]["auc"] == pytest.approx(by_name["sharp"]["auc"], abs=0.02)
 
 
+def test_opauc_zero_capacity_ratio_exits_1(tmp_path, capsys):
+    # regression: mu.lo = 0 passed the parser, then opauc exited 2 with "rho must be positive"
+    doc = json.loads((DEMO_SCENARIOS / "operating_point.json").read_text(encoding="utf-8"))
+    doc.update(mu={"kind": "uniform_ratio", "lo": 0, "hi": 0.2}, output_prefix=str(tmp_path / "op"))
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["opauc", "--scenario", str(scn)]) == 1
+    assert "mu.lo: need 0 < lo < hi" in capsys.readouterr().err
+
+
 def test_validate_convergence_table(tmp_path, capsys):
     scn = _scenario(tmp_path, validate={"n_values": [100, 400, 1600], "populations": 200})
     code, out = _run(capsys, "validate", "--scenario", str(scn))

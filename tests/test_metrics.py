@@ -16,6 +16,10 @@ P = fl.BehavioralParams(0.1, 0.5)
 def test_capacity_distribution_validation():
     with pytest.raises(ValueError):
         mt.UniformRatio(0.5, 0.5)
+    # regression: lo = 0 put a rho = 0 node in the OpAUC quadrature, which exits 2
+    for lo in (0.0, -0.1):
+        with pytest.raises(ValueError, match="need 0 < lo < hi"):
+            mt.UniformRatio(lo, 0.2)
     with pytest.raises(ValueError):
         mt.Atoms(((0.2, 0.5), (0.3, 0.6)))
     with pytest.raises(ValueError):

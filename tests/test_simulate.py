@@ -84,10 +84,59 @@ def test_top_k_flags_match_lexsort_prefix():
         perm = rng.permutation(n)
         ks = list(range(n + 1))
         order = np.lexsort((perm, -r_hat))
-        for k, flags in zip(ks, sim._top_k_flags(r_hat, perm, ks)):
+        for k, flags in zip(ks, sim._smallest(-r_hat, ks, perm)):
             expect = np.zeros(n, dtype=bool)
             expect[order[:k]] = True
             assert np.array_equal(flags, expect)
+
+
+def _smallest_reference(keys, k, second, members):
+    """One row's selection: the first ``k`` members in ``lexsort((second, keys))`` order."""
+    idx = np.flatnonzero(members)
+    chosen = np.zeros(keys.size, dtype=bool)
+    chosen[idx[np.lexsort((second[idx], keys[idx]))][:k]] = True
+    return chosen
+
+
+@given(
+    rows=st.integers(0, 4),
+    n=st.integers(0, 12),
+    ks=st.lists(st.integers(0, 15), min_size=1, max_size=4),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_smallest_matches_lexsort_reference(rows, n, ks, share, seed):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 3, (rows, n)).astype(float)  # ties within and across rows
+    second = np.array([rng.permutation(n) for _ in range(rows)]).reshape(rows, n)
+    members = rng.random((rows, n)) < share
+    # a non-member's key must be at least every member's: lift it by 2, as the callers do
+    lifted = keys + 2.0 * ~members
+    everyone = np.ones((rows, n), dtype=bool)
+    for got, mask in ((sim._smallest(lifted, ks, second, members), members), (sim._smallest(keys, ks, second), everyone)):
+        assert got.shape == (rows, len(ks), n)
+        for r in range(rows):
+            for j, k in enumerate(ks):
+                assert np.array_equal(got[r, j], _smallest_reference(keys[r], k, second[r], mask[r]))
+
+
+def test_smallest_edge_cases():
+    keys = np.array([[0.3, 0.1, 0.2], [0.5, 0.5, 0.5]])
+    second = np.array([[2, 0, 1], [1, 2, 0]])
+    # k >= n keeps every member
+    assert sim._smallest(keys, [3, 7], second).all()
+    members = np.array([[True, False, True], [False, False, False]])
+    got = sim._smallest(keys + ~members, [1, 3, 7], second, members)
+    assert np.array_equal(got[0], [[False, False, True], [True, False, True], [True, False, True]])
+    assert not got[1].any()  # a row with no members chooses no one
+    # rows of n = 0: an empty selection per row and k
+    assert sim._smallest(np.empty((2, 0)), [0, 1, 5], np.empty((2, 0)), np.empty((2, 0), bool)).shape == (2, 3, 0)
+    # ties across several rows: each row breaks its own tie by its own ``second``
+    tied = np.full((3, 4), 0.5)
+    order = np.array([[3, 1, 0, 2], [0, 1, 2, 3], [2, 3, 1, 0]])
+    got = sim._smallest(tied, [2], order)[:, 0]
+    assert np.array_equal(got, order < 2)
 
 
 # --- _serve (allocation) ------------------------------------------------------
@@ -202,9 +251,7 @@ def test_trial_outcome_conservation():
     children = np.random.SeedSequence(3).spawn(40)
     cfg = sim.SimConfig(n=60, m=12, params=P, beta1=0.25, trials=40, seed=3)
     k = sm.flagged_count(60, 0.7)
-    rows = sim._run_trials(
-        sm.Analytic(sm.Uniform01()), cfg, [k], sim._frozen_cohort(pop, 3), children, 0, 40
-    )[0]
+    rows = sim._run_trials(sm.Analytic(sm.Uniform01()), cfg, [k], pop, children, 0, 40)[0]
     for _, served, served_flagged, served_unflagged, requests in rows:
         assert served == min(requests, 12)
         assert served_flagged + served_unflagged == served
@@ -464,29 +511,29 @@ def test_run_trials_bitwise_equal_reference(kind, beta1, mixture_perfect, monkey
                 n=n, m=m, params=P, beta1=beta1, trials=trials, seed=7, binary_mode=binary_mode
             )
             population = sm.sample_population(model, n, binary_mode, seed=8)
-            for frozen in (None, sim._frozen_cohort(population, cfg.seed)):
-                got = sim._run_trials(model, cfg, ks, frozen, children, 0, trials)
-                pop = None if frozen is None else population
+            for pop in (None, population):
+                got = sim._run_trials(model, cfg, ks, pop, children, 0, trials)
                 expect = _reference_rows(model, cfg, ks, pop, children)
-                assert np.array_equal(got, expect), (m, binary_mode, frozen is None)
+                assert np.array_equal(got, expect), (m, binary_mode, pop is None)
 
 
 def test_empty_flag_set_keeps_request_draws(monkeypatch, uniform_perfect):
     # At tau=1 no one is flagged; the tie-break permutation is still drawn,
     # so the request uniforms line up with a run at tau < 1.
     seen = {}
-    top_k_flags, serve = sim._top_k_flags, sim._serve
+    smallest, serve = sim._smallest, sim._serve
 
-    def record_flags(r_hat, perm, ks):
-        flags = top_k_flags(r_hat, perm, ks)
-        seen["flags"] = flags[0, 0]  # the one trial, the one flag count
-        return flags
+    def record_flags(keys, ks, second, members=None):
+        chosen = smallest(keys, ks, second, members)
+        if members is None:  # the flags, not an allocation stage
+            seen["flags"] = chosen[0, 0]  # the one trial, the one flag count
+        return chosen
 
     def record_requests(requests, *rest):
         seen["requested"] = requests[0, 0]
         return serve(requests, *rest)
 
-    monkeypatch.setattr(sim, "_top_k_flags", record_flags)
+    monkeypatch.setattr(sim, "_smallest", record_flags)
     monkeypatch.setattr(sim, "_serve", record_requests)
     cfg = sim.SimConfig(n=50, m=10, params=P, trials=1, seed=4)
     runs = {}
@@ -496,6 +543,19 @@ def test_empty_flag_set_keeps_request_draws(monkeypatch, uniform_perfect):
     (flags_98, req_98), (flags_1, req_1) = runs[0.98], runs[1.0]
     assert flags_98.sum() == 1 and not flags_1.any()
     assert np.array_equal(req_98[~flags_98], req_1[~flags_98])
+
+
+def test_empty_tau_list_draws_nothing(monkeypatch, uniform_perfect):
+    # regression: an empty tau list divided by zero while sizing the trial blocks
+    def no_trials(*args):
+        raise AssertionError("no trial may run")
+
+    monkeypatch.setattr(sim, "_run_trials", no_trials)
+    cfg = sim.SimConfig(n=50, m=10, params=P, trials=5, seed=4)
+    assert sim.simulate_taus(cfg, [], uniform_perfect) == []
+    assert sim.simulate_taus(cfg, [], uniform_perfect, population=_uniform_pop(50), workers=2) == []
+    with pytest.raises(ValueError, match="must match config.n"):
+        sim.simulate_taus(cfg, [], uniform_perfect, population=_uniform_pop(40))
 
 
 def test_grid_oracle_worker_independent(mixture_noisy):

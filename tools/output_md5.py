@@ -1,6 +1,6 @@
 """Print the byte-identity table of the demo outputs, one md5 column per checkout.
 
-    python tools/output_md5.py [[LABEL=]ROOT ...]
+    python tools/output_md5.py [--seeds 1,2] [[LABEL=]ROOT ...]
 
 For each checkout ROOT (default: the one holding this script) it runs, with
 ``ROOT/src`` first on PYTHONPATH and ROOT as the working directory:
@@ -10,18 +10,30 @@ For each checkout ROOT (default: the one holding this script) it runs, with
 * the five demo scripts, ``python demos/0*.py``;
 
 and then hashes every file in ``ROOT/demos/output``.  That directory holds
-only what these runs write, so it is emptied first.  The table goes to
-stdout as Markdown, one row per stdout or file and one md5 column per
-checkout; the exit column lists each checkout's exit code where they differ.
-A last line on stderr counts the rows whose md5s differ between checkouts.
+only what these runs write, so it is emptied first.
+
+With ``--seeds``, it also runs every command of the four benchmark workloads
+at each listed seed and hashes its stdout and every file it writes.  The
+inputs are built by the ``bench/workloads.py`` next to this script, so every
+checkout gets the same ones.  Each checkout runs them in turn in the same
+work directory, emptied before each workload, so the paths the commands
+print agree between checkouts.
+
+The table goes to stdout as Markdown, one row per stdout or file and one md5
+column per checkout; the exit column lists each checkout's exit code where
+they differ.  A last line on stderr counts the rows whose md5s differ
+between checkouts.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CLI_RUNS = [
@@ -66,15 +78,53 @@ def hash_checkout(root: Path) -> dict[str, tuple[str, str]]:
     return rows
 
 
+HERE = Path(__file__).resolve().parent.parent
+WORK = Path(tempfile.gettempdir()) / "capthresh-output-md5"
+
+
+def _workloads():
+    """``bench/workloads.py`` of this checkout, imported without writing bytecode next to it."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(HERE / "bench"))
+    import workloads
+
+    return workloads
+
+
+def hash_workloads(root: Path, seeds: list[int]) -> dict[str, tuple[str, str]]:
+    """{row label: (exit code or "", md5)} for every workload command of one checkout."""
+    builders = _workloads().BUILDERS
+    rows = {}
+    for seed in seeds:
+        for name, build in builders.items():
+            shutil.rmtree(WORK, ignore_errors=True)
+            WORK.mkdir(parents=True)
+            workload = build(seed, WORK)
+            inputs = set(WORK.rglob("*"))
+            for cmd in workload.commands:
+                code, md5 = _run(root, ["-m", "capthresh", *cmd.argv])
+                rows[f"seed {seed} {name} {cmd.label} stdout"] = (str(code), md5)
+            for path in sorted(set(WORK.rglob("*")) - inputs):
+                if path.is_file():
+                    rows[f"seed {seed} {name} {path.relative_to(WORK)}"] = ("", _md5(path.read_bytes()))
+    shutil.rmtree(WORK, ignore_errors=True)
+    return rows
+
+
 def main(argv: list[str]) -> int:
-    specs = argv or [str(Path(__file__).resolve().parent.parent)]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=lambda v: [int(s) for s in v.split(",")], default=[],
+                        help="comma-separated workload seeds, e.g. 1,2")
+    parser.add_argument("roots", nargs="*", metavar="[LABEL=]ROOT")
+    args = parser.parse_args(argv)
     labels, tables = [], []
-    for spec in specs:
+    for spec in args.roots or [str(HERE)]:
         label, sep, root = spec.partition("=")
         if not sep:
             label, root = Path(spec).resolve().name, spec
         labels.append(label)
-        tables.append(hash_checkout(Path(root).resolve()))
+        root = Path(root).resolve()
+        tables.append({**hash_checkout(root), **hash_workloads(root, args.seeds)})
     names = list(dict.fromkeys(name for table in tables for name in table))
     print("| run or file | exit | " + " | ".join(f"md5 at {label}" for label in labels) + " |")
     print("|---|---|" + "---|" * len(labels))
