@@ -113,8 +113,9 @@ def test_smallest_matches_lexsort_reference(rows, n, ks, share, seed):
     members = rng.random((rows, n)) < share
     # a non-member's key must be at least every member's: lift it by 2, as the callers do
     lifted = keys + 2.0 * ~members
-    everyone = np.ones((rows, n), dtype=bool)
-    for got, mask in ((sim._smallest(lifted, ks, second, members), members), (sim._smallest(keys, ks, second), everyone)):
+    with_members = sim._smallest(lifted, ks, second, members)
+    everyone = sim._smallest(keys, ks, second)
+    for got, mask in ((with_members, members), (everyone, np.ones((rows, n), dtype=bool))):
         assert got.shape == (rows, len(ks), n)
         for r in range(rows):
             for j, k in enumerate(ks):
@@ -131,7 +132,8 @@ def test_smallest_edge_cases():
     assert np.array_equal(got[0], [[False, False, True], [True, False, True], [True, False, True]])
     assert not got[1].any()  # a row with no members chooses no one
     # rows of n = 0: an empty selection per row and k
-    assert sim._smallest(np.empty((2, 0)), [0, 1, 5], np.empty((2, 0)), np.empty((2, 0), bool)).shape == (2, 3, 0)
+    empty = np.empty((2, 0))
+    assert sim._smallest(empty, [0, 1, 5], empty, empty.astype(bool)).shape == (2, 3, 0)
     # ties across several rows: each row breaks its own tie by its own ``second``
     tied = np.full((3, 4), 0.5)
     order = np.array([[3, 1, 0, 2], [0, 1, 2, 3], [2, 3, 1, 0]])

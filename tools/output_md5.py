@@ -36,6 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+HERE = Path(__file__).resolve().parent.parent
+WORK = Path(tempfile.gettempdir()) / "capthresh-output-md5"  # one directory, so printed paths agree
 CLI_RUNS = [
     ("threshold", "operating_point"),
     ("simulate", "operating_point"),
@@ -76,10 +78,6 @@ def hash_checkout(root: Path) -> dict[str, tuple[str, str]]:
         if path.is_file():
             rows[f"demos/output/{path.name}"] = ("", _md5(path.read_bytes()))
     return rows
-
-
-HERE = Path(__file__).resolve().parent.parent
-WORK = Path(tempfile.gettempdir()) / "capthresh-output-md5"
 
 
 def _workloads():
