@@ -135,6 +135,28 @@ def test_opauc_report(tmp_path, capsys):
     assert by_name["sharp"]["opauc"] > by_name["noisy"]["opauc"]
 
 
+def test_opauc_without_candidates_reports_the_model(tmp_path, capsys):
+    # no candidates block: the scenario's model is the only candidate, named "model"
+    scn = _scenario(tmp_path, mu={"kind": "atoms", "atoms": [[0.2, 0.5], [0.4, 0.5]]})
+    code, out = _run(capsys, "opauc", "--scenario", str(scn))
+    assert code == 0
+    csv_path, json_path = tmp_path / "out" / "run_opauc.csv", tmp_path / "out" / "run_opauc.json"
+    assert out.splitlines() == [
+        "candidate=model auc=0.8333332499999999 opauc=0.40202041028867286",
+        f"winner_by_auc=model winner_by_opauc=model csv={csv_path} json={json_path}",
+    ]
+    assert csv_path.read_text(encoding="utf-8").splitlines() == [
+        "candidate,rho,weight,tau_star,tpr,integrand",
+        "model,0.2,0.5,0.710102048,0.495755082,0.284040821",
+        "model,0.4,0.5,0.4,0.84,0.52",
+    ]
+    assert json.loads(json_path.read_text(encoding="utf-8")) == {
+        "candidates": [{"auc": 0.8333332499999999, "name": "model", "opauc": 0.40202041028867286}],
+        "winner_by_auc": "model",
+        "winner_by_opauc": "model",
+    }
+
+
 def test_opauc_small_corpus_candidate_exits_0(tmp_path, capsys):
     # regression: a candidate corpus with fewer rows than the 2001-point TPR grid exited 2
     r = np.random.default_rng(4).random(1000)
