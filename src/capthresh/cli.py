@@ -194,13 +194,7 @@ def _cmd_opauc(scn: sio.Scenario, args) -> int:
     params = scn.behavioral
     specs = scn.candidates or (("model", scn.model),)
     cands = [metrics.AlgorithmCandidate(name, spec.build()) for name, spec in specs]
-    if len(cands) >= 2:
-        report = metrics.select_algorithm(cands, mu, params)
-    else:
-        only = metrics.candidate_report(cands[0], mu, params)
-        report = metrics.SelectionReport(
-            candidates=(only,), winner_by_auc=only.name, winner_by_opauc=only.name
-        )
+    report = metrics.select_algorithm(cands, mu, params)
     csv_path, json_path = sio.write_selection_report(report, prefix)
     for cand in report.candidates:
         _emit(candidate=cand.name, auc=cand.auc, opauc=cand.opauc)

@@ -13,8 +13,8 @@ Thresholds implemented here:
 * capacity-matching  tau_c   -- flags exactly enough to fill capacity in
   expectation; ignores which requests crowd out which.
 * score-optimal      tau_s   -- maximizes efficacy per slot; the unique root
-  of a strictly decreasing first-order condition for analytic models, a grid
-  argmax for empirical corpora.
+  of a strictly decreasing first-order condition for analytic models, an
+  argmax on the fixed ``DEFAULT_GRID``-point tau grid for empirical corpora.
 * two-point optimal  tau*    -- min(tau_s, tau_c), the fluid-optimal rule.
 * critical baseline  p0_bar  -- the smallest baseline request probability at
   which the score-optimal threshold starts to bind.
@@ -23,7 +23,8 @@ Everything is a pure function of immutable inputs.  A sweep is solved as a
 whole rather than point by point: the score-optimal thresholds of all its p0
 values in one lockstep bisection, and its objectives from one grid of tail
 means.  Each result is bitwise the single-point one, whatever else the sweep
-holds and in whatever order.
+holds and in whatever order.  An invalid p0 is solved along with the rest
+and raises at its own point of the sweep.
 """
 
 from __future__ import annotations
@@ -279,27 +280,23 @@ def _foc_grid(model: JointScoreModel, ratio: np.ndarray, taus: np.ndarray) -> np
 _SCORE_OPT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def score_optimal_threshold(
-    model: JointScoreModel, params: BehavioralParams, *, grid_size: int = DEFAULT_GRID
-) -> float:
+def score_optimal_threshold(model: JointScoreModel, params: BehavioralParams) -> float:
     """Threshold maximizing efficacy per served slot.
 
     Analytic models: bisection on the first-order condition to an interval of
     1e-8, clamped to 1 when p0 = 0, to 0 when H(0) <= 0 and to 1 when
-    H(1) >= 0.  Empirical models: argmax of fluid_efficacy on a uniform grid,
-    smallest tau on ties.  Results are cached per model and (p0, delta_p,
-    grid_size).
+    H(1) >= 0.  Empirical models: argmax of fluid_efficacy on the uniform
+    ``DEFAULT_GRID``-point tau grid, smallest tau on ties.  Results are cached
+    per model and (p0, delta_p).
 
     A p0 sweep solves all its points together (see ``gap_curve``): the
     bisections run in lockstep on the same dyadic midpoints, so each result
     is bitwise this single-point solve.
     """
-    return _score_optimal_thresholds(model, [params.p0], params.delta_p, grid_size)[0]
+    return _score_optimal_thresholds(model, [params.p0], params.delta_p)[0]
 
 
-def _score_optimal_thresholds(
-    model: JointScoreModel, p0s, delta_p: float, grid_size: int = DEFAULT_GRID
-) -> list[float]:
+def _score_optimal_thresholds(model: JointScoreModel, p0s, delta_p: float) -> list[float]:
     """score_optimal_threshold at each p0 of a list, at one delta_p.
 
     The uncached p0 values are solved together: analytic models in one
@@ -308,16 +305,16 @@ def _score_optimal_thresholds(
     if delta_p == 0:
         raise ValueError("nudge has no effect; score-optimal undefined")
     per_model = _SCORE_OPT_CACHE.setdefault(model, {})
-    todo = [p0 for p0 in dict.fromkeys(p0s) if (p0, delta_p, grid_size) not in per_model]
+    todo = [p0 for p0 in dict.fromkeys(p0s) if (p0, delta_p) not in per_model]
     live = [p0 for p0 in todo if p0 != 0]  # p0 = 0 flags no one: tau = 1
     solved = {}
     if live and is_empirical(model):
-        solved = dict(zip(live, _empirical_score_optimal(model, live, delta_p, grid_size)))
+        solved = dict(zip(live, _empirical_score_optimal(model, live, delta_p)))
     elif live:
         solved = dict(zip(live, _bisect_score_optimal(model, live, delta_p)))
     for p0 in todo:
-        per_model[p0, delta_p, grid_size] = solved.get(p0, 1.0)
-    return [per_model[p0, delta_p, grid_size] for p0 in p0s]
+        per_model[p0, delta_p] = solved.get(p0, 1.0)
+    return [per_model[p0, delta_p] for p0 in p0s]
 
 
 def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
@@ -351,14 +348,14 @@ def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> 
     return tau.tolist()
 
 
-def _empirical_score_optimal(model: JointScoreModel, p0s: list, delta_p: float, grid_size: int) -> list[float]:
+def _empirical_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
     """Grid argmax of fluid_efficacy for every p0, smallest tau on ties.
 
     The p0 values share one grid of tail means, and every grid value is
     bitwise the scalar one.  Grid points below 1 with an empty tail are
     skipped; at tau = 1 no one is flagged and the efficacy is E[r].
     """
-    taus = np.linspace(0.0, 1.0, grid_size)
+    taus = np.linspace(0.0, 1.0, DEFAULT_GRID)
     cma = conditional_mean_above_grid(model, taus)
     er = mean_true_score(model)
     return [_grid_argmax(taus, _efficacy_grid(taus, cma, er, p0, delta_p)) for p0 in p0s]
@@ -484,7 +481,7 @@ def gap_curve(
         raise ValueError("p0 sweeps need a fixed rho")
     xs = [float(x) for x in grid]
     if axis == "p0" and params.delta_p != 0 and rho > 0:
-        _score_optimal_thresholds(model, _valid_p0s(xs, params.delta_p), params.delta_p)
+        _score_optimal_thresholds(model, xs, params.delta_p)
     # thresholds point by point; a point that raises stops the sweep, and its
     # error is raised once the points before it are evaluated
     plans, failure = [], None
@@ -529,18 +526,6 @@ def gap_curve(
     if failure is not None:
         raise failure
     return points
-
-
-def _valid_p0s(p0s: list[float], delta_p: float) -> list[float]:
-    """The p0 values that form valid BehavioralParams with delta_p."""
-    valid = []
-    for p0 in p0s:
-        try:
-            BehavioralParams(p0, delta_p)
-        except ValueError:
-            continue  # gap_curve raises this at its own point
-        valid.append(p0)
-    return valid
 
 
 def _tail_means(model: JointScoreModel, taus: list[float]):

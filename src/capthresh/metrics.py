@@ -41,7 +41,7 @@ class UniformRatio:
     hi: float
 
     def __post_init__(self):
-        if not (0.0 < self.lo < self.hi):
+        if not (0.0 < self.lo < self.hi < math.inf):
             raise ValueError("need 0 < lo < hi")
 
 
@@ -128,17 +128,17 @@ def auc_rank(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def auc_integral(model: JointScoreModel, grid_size: int = TAU_GRID) -> float:
-    """AUC from the TPR curve: (int TPR dtau - E[r]/2) / (1 - E[r])."""
+def auc_integral(model: JointScoreModel) -> float:
+    """AUC from the TPR curve on ``TAU_GRID`` points: (int TPR dtau - E[r]/2) / (1 - E[r])."""
     er = mean_true_score(model)
     if not 0.0 < er < 1.0:
         raise ValueError("AUC undefined: mean true score must be in (0, 1)")
-    taus = np.linspace(0.0, 1.0, grid_size)
+    taus = np.linspace(0.0, 1.0, TAU_GRID)
     return float((np.trapezoid(tpr_grid(model, taus), taus) - er / 2.0) / (1.0 - er))
 
 
-def roc_curve(model: JointScoreModel, grid_size: int = TAU_GRID) -> list[tuple[float, float]]:
-    """(FPR, TPR) per grid threshold, from tau = 0 (at (1,1)) to tau = 1.
+def roc_curve(model: JointScoreModel) -> list[tuple[float, float]]:
+    """(FPR, TPR) at ``TAU_GRID`` thresholds, from tau = 0 (at (1,1)) to tau = 1.
 
     FPR follows from the confusion-matrix identity: the flagged mass (1 - tau)
     splits into TPR * E[r] true positives and false positives for the rest.
@@ -146,21 +146,21 @@ def roc_curve(model: JointScoreModel, grid_size: int = TAU_GRID) -> list[tuple[f
     er = mean_true_score(model)
     if not 0.0 < er < 1.0:
         raise ValueError("ROC undefined: mean true score must be in (0, 1)")
-    taus = np.linspace(0.0, 1.0, grid_size)
+    taus = np.linspace(0.0, 1.0, TAU_GRID)
     tpr = tpr_grid(model, taus)
     fpr = ((1.0 - taus) - tpr * er) / (1.0 - er)
     return list(zip(np.clip(fpr, 0.0, 1.0).tolist(), np.clip(tpr, 0.0, 1.0).tolist()))
 
 
 def _rows(
-    model: JointScoreModel, mu: CapacityDistribution, params: BehavioralParams, rho_nodes: int = RHO_NODES
+    model: JointScoreModel, mu: CapacityDistribution, params: BehavioralParams
 ) -> list[tuple[float, float, float, float, float]]:
     """(rho, weight, tau_star, tpr, integrand) at each node of mu, in node order.
 
     tau_star is each node's (cached) two-point threshold, and one tpr_grid
     call gives every TPR, bitwise the scalar tpr_at.
     """
-    nodes = _mu_nodes(mu, rho_nodes)
+    nodes = _mu_nodes(mu)
     taus = [two_point_threshold(rho, model, params) for rho, _ in nodes]
     tprs = tpr_grid(model, np.array(taus)).tolist()
     return [
@@ -169,26 +169,21 @@ def _rows(
     ]
 
 
-def opauc(
-    model: JointScoreModel,
-    mu: CapacityDistribution,
-    params: BehavioralParams,
-    *,
-    rho_nodes: int = RHO_NODES,
-) -> float:
+def opauc(model: JointScoreModel, mu: CapacityDistribution, params: BehavioralParams) -> float:
     """Capacity-weighted operational metric; each rho uses its optimal tau."""
     if params.delta_p <= 0:
         raise ValueError("nudge has no effect; OpAUC undefined")
-    return sum(w * value for _, w, _, _, value in _rows(model, mu, params, rho_nodes))
+    return sum(w * value for _, w, _, _, value in _rows(model, mu, params))
 
 
-def _mu_nodes(mu: CapacityDistribution, rho_nodes: int = RHO_NODES) -> list[tuple[float, float]]:
-    """Quadrature nodes (rho, weight) with weights summing to 1."""
+def _mu_nodes(mu: CapacityDistribution) -> list[tuple[float, float]]:
+    """Quadrature nodes (rho, weight) with weights summing to 1: the atoms, or
+    the ``RHO_NODES``-point trapezoid rule of a uniform law."""
     if isinstance(mu, Atoms):
         return list(mu.atoms)
-    rhos = np.linspace(mu.lo, mu.hi, rho_nodes)
-    w = np.full(rho_nodes, 1.0 / (rho_nodes - 1))
-    w[0] = w[-1] = 0.5 / (rho_nodes - 1)  # trapezoid weights
+    rhos = np.linspace(mu.lo, mu.hi, RHO_NODES)
+    w = np.full(RHO_NODES, 1.0 / (RHO_NODES - 1))
+    w[0] = w[-1] = 0.5 / (RHO_NODES - 1)  # trapezoid weights
     return [(float(r), float(x)) for r, x in zip(rhos, w)]
 
 
@@ -222,11 +217,12 @@ def select_algorithm(
     """Rank candidates by AUC and OpAUC; OpAUC picks the efficacy-optimal one.
 
     Labeled corpora use the rank AUC, everything else the integral form.
-    Ties resolve to the lexicographically smallest name.
+    Ties resolve to the lexicographically smallest name.  A single candidate
+    is reported alone and wins both rankings.
     """
     candidates = list(candidates)
-    if len(candidates) < 2:
-        raise ValueError("need at least two candidates")
+    if not candidates:
+        raise ValueError("need at least one candidate")
     names = [c.name for c in candidates]
     if len(set(names)) != len(names):
         raise ValueError("candidate names must be unique")

@@ -359,9 +359,10 @@ def _mu(spec) -> CapacityDistribution:
         _keys(spec, {"kind", "lo", "hi"}, "mu")
         lo = _get(spec, "lo", float, "mu")
         hi = _get(spec, "hi", float, "mu")
-        if not 0.0 < lo < hi:
-            _fail("mu.lo", "need 0 < lo < hi")
-        return UniformRatio(lo, hi)
+        try:
+            return UniformRatio(lo, hi)
+        except ValueError as e:
+            _fail("mu.lo", str(e))
     if kind == "atoms":
         _keys(spec, {"kind", "atoms"}, "mu")
         atoms = _get(spec, "atoms", list, "mu")

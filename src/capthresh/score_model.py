@@ -211,13 +211,9 @@ class BetaMixture:
         return sum(w * a / (a + b) for w, a, b in self.components)
 
     def pdf(self, x):
-        from scipy import stats  # deferred: costly to import, and only noisy engines need it
-
+        """The mixture density, 0 outside [0, 1]."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, a, b in self.components:
-            out += w * stats.beta.pdf(x, a, b)
-        return out
+        return np.where((x < 0.0) | (x > 1.0), 0.0, self._density(x))  # the closed form is NaN outside
 
     def cdf(self, x):
         xc = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), 1.0)
@@ -230,12 +226,16 @@ class BetaMixture:
     def _log_norms(self) -> tuple[float, ...]:
         return tuple(math.log(w) - betaln(a, b) if w > 0 else -math.inf for w, a, b in self.components)
 
-    def _cdf_and_density(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the density in closed form, for the Newton steps of ppf; pdf is the public one
+    def _density(self, x: np.ndarray) -> np.ndarray:
+        """The density in closed form on [0, 1]."""
         density = 0.0
         for (_, a, b), c in zip(self.components, self._log_norms):
             density = density + np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) + c)
-        return self.cdf(x), density
+        return density
+
+    def _cdf_and_density(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # for the Newton steps of ppf
+        return self.cdf(x), self._density(x)
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,11 @@ EXACT_BUDGET = 5000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Operating point and Monte Carlo budget for the simulators."""
+    """Operating point and Monte Carlo budget for the simulators.
+
+    A trial's served value sums the true scores r of the served individuals
+    (their expected outcomes), never sampled binary outcomes.
+    """
 
     n: int
     m: int
@@ -63,7 +67,6 @@ class SimConfig:
     beta1: float = 0.0
     trials: int = 8000
     seed: int = 0
-    binary_mode: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -206,7 +209,7 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
     out = np.empty((ks.size, hi - lo, 5))
     if population is not None:  # one (1, n) row that broadcasts over the trials
         pop, perm = population, _flag_permutation(config.seed, n)
-        r_hat, values = pop.r_hat[None], (pop.y if config.binary_mode and pop.y is not None else pop.r)[None]
+        r_hat, values = pop.r_hat[None], pop.r[None]
     for t0 in range(lo, hi, t_step):
         t1 = min(t0 + t_step, hi)
         # per-trial draws, shaped (trial, 1, individual) to broadcast over flag counts
@@ -217,8 +220,8 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
         for t in range(t1 - t0):
             rng = np.random.default_rng(children[t0 + t])
             if population is None:
-                pop = sample_population(model, n, config.binary_mode, seed=rng)
-                r_hat[t], values[t] = pop.r_hat, pop.y if config.binary_mode else pop.r
+                pop = sample_population(model, n, seed=rng)
+                r_hat[t], values[t] = pop.r_hat, pop.r
                 perm[t] = rng.permutation(n)
             for draw in (u, tie, lottery):
                 rng.random(out=draw[t, 0])

@@ -114,13 +114,13 @@ def test_score_optimal_empirical_grid_path():
     assert abs(tau - TAU_SCORE_UNIFORM) < 0.02  # sampling noise only
 
 
-def _grid_score_optimal_loop(model, params, grid_size):
+def _grid_score_optimal_loop(model, params):
     """Reference: the empirical score-optimal grid solve as one Python loop."""
     if params.p0 == 0:
         return 1.0
     n = model.predicted.size
     best_tau, best_val = None, -np.inf
-    for t in np.linspace(0.0, 1.0, grid_size):
+    for t in np.linspace(0.0, 1.0, fl.DEFAULT_GRID):
         t = float(t)
         if t < 1.0 and sm.flagged_count(n, t) == 0:
             continue  # no records in the tail at this grid point
@@ -144,9 +144,7 @@ def test_score_optimal_grid_matches_loop(n):
         p0_bar = fl.critical_baseline(0.2, corpus, 0.5)
         for p0 in (0.0, 0.5 * p0_bar, min(1.5 * p0_bar + 0.01, 0.5), 0.3, 0.5):
             params = fl.BehavioralParams(p0, 0.5)
-            for grid_size in (2, 7, fl.DEFAULT_GRID):
-                got = fl.score_optimal_threshold(corpus, params, grid_size=grid_size)
-                assert got == _grid_score_optimal_loop(corpus, params, grid_size)
+            assert fl.score_optimal_threshold(corpus, params) == _grid_score_optimal_loop(corpus, params)
 
 
 def _grid_oracle_loop(grid_size, rho, model, params):
@@ -583,8 +581,8 @@ def test_batched_score_optimal_uses_the_cache():
     model = _sweep_models()["mixture_perfect"]()
     first = fl._score_optimal_thresholds(model, [0.1, 0.2], 0.5)
     cache = fl._SCORE_OPT_CACHE[model]
-    assert cache[0.1, 0.5, fl.DEFAULT_GRID] == first[0]
-    cache[0.2, 0.5, fl.DEFAULT_GRID] = -1.0  # a stored result is returned, not re-solved
+    assert cache[0.1, 0.5] == first[0]
+    cache[0.2, 0.5] = -1.0  # a stored result is returned, not re-solved
     assert fl._score_optimal_thresholds(model, [0.2, 0.1], 0.5) == [-1.0, first[0]]
     assert fl.score_optimal_threshold(model, fl.BehavioralParams(0.2, 0.5)) == -1.0
 
@@ -721,6 +719,12 @@ def test_gap_curve_errors_match_the_point_by_point_evaluation():
         # an invalid p0 after valid points
         (fl.Fixed(0.8), _sweep_models()["mixture_noisy_0.1"],
          dict(axis="p0", grid=[0.1, 0.2, 0.7, 0.3], params=P, rho=0.2)),
+        # a NaN p0 and a negative p0 in the middle of a p0 sweep, which the
+        # sweep's lockstep score-optimal solve receives with the valid ones
+        (fl.TwoPointOptimal(), _sweep_models()["mixture_perfect"],
+         dict(axis="p0", grid=[0.1, math.nan, 0.3], params=P, rho=0.2)),
+        (fl.TwoPointOptimal(), _sweep_models()["mixture_noisy_0.1"],
+         dict(axis="p0", grid=[0.1, -0.05, 0.3], params=P, rho=0.2)),
         # a nonpositive capacity ratio in the middle of a rho sweep
         (fl.CapacityMatching(), _sweep_models()["uniform_perfect"],
          dict(axis="rho", grid=[0.1, 0.0, 0.3], params=P)),

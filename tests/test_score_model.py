@@ -219,6 +219,24 @@ def test_mixture_ppf_inverts_cdf(dist):
         assert isinstance(got, float) and got == xi
 
 
+@pytest.mark.parametrize(
+    "dist, rtol",
+    [(MIX, 1e-14), (SMALL_SHAPES, 1e-14), (sm.BetaMixture(((0.5, 1.0, 1.0), (0.5, 1.0, 3.0))), 1e-14),
+     (sm.BetaMixture(((1.0, 4000.0, 4000.0),)), 1e-10)],
+    ids=["demo", "small", "unit_shapes", "narrow"],
+)
+def test_mixture_pdf_matches_scipy(dist, rtol):
+    x = np.concatenate([np.linspace(0.0, 1.0, 10001), [-1.0, -1e-300, 1.5, math.inf, -math.inf, math.nan]])
+    got = dist.pdf(x)
+    ref = sum(w * stats.beta.pdf(x, a, b) for w, a, b in dist.components)
+    # the same zeros, infinities and NaNs, and the finite values to rtol
+    for kind in (lambda v: v == 0.0, np.isinf, np.isnan):
+        assert np.array_equal(kind(got), kind(ref))
+    finite = np.isfinite(ref) & (ref != 0.0)
+    np.testing.assert_allclose(got[finite], ref[finite], rtol=rtol, atol=0.0)
+    assert float(dist.pdf(0.5)) == float(got[5000])
+
+
 def _noisy_reference(dist, sigma, s, moment):
     """P(r + eps <= s) for moment 0, E[r; r + eps > s] for moment 1, by
     adaptive quadrature per component: the algebraic weight carries the

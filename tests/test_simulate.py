@@ -462,13 +462,12 @@ def _reference_rows(model, config, ks, population, children):
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         if population is None:
-            pop = sm.sample_population(model, n, config.binary_mode, seed=rng)
+            pop = sm.sample_population(model, n, seed=rng)
             order = np.lexsort((rng.permutation(n), -pop.r_hat))
         else:
             pop = population
             order = np.lexsort((frozen_perm, -pop.r_hat))
         u, tie, lottery = rng.random(n), rng.random(n), rng.random(n)
-        values = pop.y if config.binary_mode else pop.r
         for j, k in enumerate(ks):
             flags = np.zeros(n, dtype=bool)
             flags[order[:k]] = True
@@ -480,7 +479,7 @@ def _reference_rows(model, config, ks, population, children):
             served[top] = True
             served[rest[np.argsort(lottery[rest])[: config.m - top.size]]] = True
             out[j, i] = (
-                np.where(served, values, 0.0).sum(),
+                np.where(served, pop.r, 0.0).sum(),
                 served.sum(),
                 (served & flags).sum(),
                 (served & ~flags).sum(),
@@ -507,16 +506,13 @@ def test_run_trials_bitwise_equal_reference(kind, beta1, mixture_perfect, monkey
     # all 8 trials share a block unless split: 3 + 3 + 2 trials, or one (trial, k) row each
     cells = {"corpus_3_trial_blocks": 3 * len(ks) * n, "corpus_1_row_blocks": 1}
     monkeypatch.setattr(sim, "_BLOCK_CELLS", cells.get(kind, sim._BLOCK_CELLS))
+    population = sm.sample_population(model, n, seed=8)
     for m in (0, 12, n, 90):
-        for binary_mode in (False, True):
-            cfg = sim.SimConfig(
-                n=n, m=m, params=P, beta1=beta1, trials=trials, seed=7, binary_mode=binary_mode
-            )
-            population = sm.sample_population(model, n, binary_mode, seed=8)
-            for pop in (None, population):
-                got = sim._run_trials(model, cfg, ks, pop, children, 0, trials)
-                expect = _reference_rows(model, cfg, ks, pop, children)
-                assert np.array_equal(got, expect), (m, binary_mode, pop is None)
+        cfg = sim.SimConfig(n=n, m=m, params=P, beta1=beta1, trials=trials, seed=7)
+        for pop in (None, population):
+            got = sim._run_trials(model, cfg, ks, pop, children, 0, trials)
+            expect = _reference_rows(model, cfg, ks, pop, children)
+            assert np.array_equal(got, expect), (m, pop is None)
 
 
 def test_empty_flag_set_keeps_request_draws(monkeypatch, uniform_perfect):
