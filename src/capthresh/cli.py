@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import fluid, metrics, scenario as sio, simulate as sim
+from . import fluid, metrics, scenario as sio, score_model as sm, simulate as sim
 from .fluid import BehavioralParams
 from .scenario import ScenarioError, SweepRow, SweepTable
 
@@ -77,6 +77,12 @@ def _require_point(scn: sio.Scenario) -> tuple[int, int]:
     if scn.m is None:
         raise ScenarioError("population.m: this subcommand needs a single operating point")
     return scn.n, scn.m
+
+
+def _require_one_beta1(scn: sio.Scenario) -> float:
+    if len(scn.beta1) > 1:
+        raise ScenarioError(f"beta1: this subcommand runs one allocation mix, got {len(scn.beta1)}")
+    return scn.beta1[0]
 
 
 def _require_prefix(scn: sio.Scenario) -> str:
@@ -134,7 +140,7 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
             else:
                 m, pt_params = scn.m, BehavioralParams(x, params.delta_p)
             cfg = sim.SimConfig(
-                n=scn.n, m=m, params=pt_params, beta1=scn.beta1[0],
+                n=scn.n, m=m, params=pt_params, beta1=_require_one_beta1(scn),
                 trials=scn.trials, seed=scn.seed,
             )
             taus = [p.threshold(m / scn.n, model, pt_params) for p in policies]
@@ -224,7 +230,7 @@ def _cmd_validate(scn: sio.Scenario, args) -> int:
             seeds = np.random.SeedSequence((scn.seed, nk)).spawn(vspec.populations)
             vals = [
                 sim.exact_objective_random(
-                    sim.sample_population(model, nk, seed=s), tau_star, mk, params,
+                    sm.sample_population(model, nk, seed=s), tau_star, mk, params,
                     flag_seed=scn.seed,
                 )
                 for s in seeds
@@ -256,7 +262,7 @@ def _cmd_oracle(scn: sio.Scenario, args) -> int:
     n, m = _require_point(scn)
     model = scn.model.build()
     cfg = sim.SimConfig(
-        n=n, m=m, params=scn.behavioral, beta1=scn.beta1[0],
+        n=n, m=m, params=scn.behavioral, beta1=_require_one_beta1(scn),
         trials=scn.trials, seed=scn.seed,
     )
     tau_best, est = sim.grid_oracle(cfg, model, scn.oracle_grid, workers=args.workers)

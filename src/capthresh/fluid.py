@@ -481,7 +481,13 @@ def gap_curve(
         raise ValueError("p0 sweeps need a fixed rho")
     xs = [float(x) for x in grid]
     if axis == "p0" and params.delta_p != 0 and rho > 0:
-        _score_optimal_thresholds(model, xs, params.delta_p)
+        reached = []  # the p0 values the loop below reaches: those before the first invalid one
+        for x in xs:
+            try:
+                reached.append(BehavioralParams(x, params.delta_p).p0)
+            except ValueError:
+                break
+        _score_optimal_thresholds(model, reached, params.delta_p)
     # thresholds point by point; a point that raises stops the sweep, and its
     # error is raised once the points before it are evaluated
     plans, failure = [], None

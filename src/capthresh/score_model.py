@@ -259,11 +259,17 @@ class BetaMixture:
             out = out + w * a / (a + b) * betaincc(a + 1.0, b, q)
         return out
 
+    @cached_property
+    def _sampler(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the cumulative weights normalised as Generator.choice(p=weights) does, and the shapes
+        weights, alphas, betas = np.array(self.components).T
+        cdf = weights.cumsum()
+        return cdf / cdf[-1], alphas, betas
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        weights = np.array([w for w, _, _ in self.components])
-        alphas = np.array([a for _, a, _ in self.components])
-        betas = np.array([b for _, _, b in self.components])
-        comp = rng.choice(len(self.components), size=n, p=weights)
+        cdf, alphas, betas = self._sampler
+        # the components rng.choice(len(components), size=n, p=weights) picks, bit for bit
+        comp = cdf.searchsorted(rng.random(n), side="right")
         return rng.beta(alphas[comp], betas[comp])
 
 
@@ -365,14 +371,12 @@ JointScoreModel = Analytic | EmpiricalJoint | EmpiricalLabeled
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """A sampled cohort of individuals.
-
-    ``y`` is present iff the cohort was drawn in binary-outcome mode.
-    """
+    """A cohort at the public API: read-only, finite true scores ``r`` and
+    predicted scores ``r_hat``.  The Monte Carlo kernel keeps its per-trial
+    cohorts as plain arrays instead."""
 
     r: np.ndarray
     r_hat: np.ndarray
-    y: np.ndarray | None = None
 
     def __post_init__(self):
         r = _readonly(self.r)
@@ -381,13 +385,8 @@ class Population:
         object.__setattr__(self, "r_hat", r_hat)
         if r.ndim != 1 or r.size == 0 or r.shape != r_hat.shape:
             raise ValueError("population must be nonempty with matching r/r_hat lengths")
-        if self.y is not None:
-            y = _readonly(self.y)
-            object.__setattr__(self, "y", y)
-            if y.shape != r.shape:
-                raise ValueError("y must match population length")
-        for name, values in (("r", r), ("r_hat", r_hat), ("y", self.y)):
-            if values is not None and not np.isfinite(values).all():
+        for name, values in (("r", r), ("r_hat", r_hat)):
+            if not np.isfinite(values).all():
                 raise ValueError(f"population {name} must be finite")
 
     @property
@@ -406,8 +405,9 @@ class _Engine:
     Each engine implements ``quantile_grid`` and ``cond_mean_above_grid`` on
     1-d arrays of tau (NaN where the tail is empty, always at tau = 1),
     ``cond_mean_at_grid`` on 1-d arrays of tau in [0, 1), ``mean``,
-    ``cond_mean_top`` and ``sample``.  The scalar methods call the grid ones
-    with a one-element array, so a grid value is bitwise the scalar one.
+    ``cond_mean_top`` and ``sample`` (a cohort's r and r_hat arrays).  The
+    scalar methods call the grid ones with a one-element array, so a grid
+    value is bitwise the scalar one.
     """
 
     empirical = False
@@ -435,12 +435,6 @@ def _memoized(cache: dict, solve, taus: np.ndarray) -> np.ndarray:
     return np.array([cache[t] for t in keys], dtype=float)
 
 
-def _population(rng: np.random.Generator, r: np.ndarray, r_hat: np.ndarray, binary_mode: bool) -> Population:
-    """A cohort whose outcomes, in binary mode, are Bernoulli(r) draws made last."""
-    y = (rng.random(r.size) < r).astype(float) if binary_mode else None
-    return Population(r=r, r_hat=r_hat, y=y)
-
-
 class _AnalyticEngine(_Engine):
     """A continuous true-score law observed through a predictor.
 
@@ -464,9 +458,9 @@ class _AnalyticEngine(_Engine):
     def mean(self) -> float:
         return self.dist.mean()
 
-    def sample(self, rng: np.random.Generator, n: int, binary_mode: bool) -> Population:
+    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         r = self.dist.sample(rng, n)
-        return _population(rng, r, self._observe(rng, r), binary_mode)
+        return r, self._observe(rng, r)
 
 
 class _PerfectEngine(_AnalyticEngine):
@@ -623,16 +617,14 @@ class _NoisyEngine(_AnalyticEngine):
 class _EmpiricalEngine(_Engine):
     """Order-statistic quantiles and tail means over a finite corpus.
 
-    ``values`` are the true scores, or for a ``labeled`` corpus the 0/1
-    outcomes, which a binary-mode cohort then reports as drawn.
+    ``values`` are the true scores, or for a labeled corpus the 0/1 outcomes.
     """
 
     empirical = True
 
-    def __init__(self, predicted: np.ndarray, values: np.ndarray, tie_seed: int, labeled: bool = False):
+    def __init__(self, predicted: np.ndarray, values: np.ndarray, tie_seed: int):
         self.predicted = predicted
         self.values = values
-        self.labeled = labeled
         self.n = predicted.size
         tie = np.random.default_rng(tie_seed).permutation(self.n)
         # descending by predicted score, ties resolved by the permutation: a
@@ -668,12 +660,9 @@ class _EmpiricalEngine(_Engine):
     def mean(self) -> float:
         return self._mean
 
-    def sample(self, rng: np.random.Generator, n: int, binary_mode: bool) -> Population:
+    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.choice(self.n, size=n, replace=True)
-        r = self.values[idx]
-        if self.labeled:
-            return Population(r=r, r_hat=self.predicted[idx], y=r if binary_mode else None)
-        return _population(rng, r, self.predicted[idx], binary_mode)
+        return self.values[idx], self.predicted[idx]
 
 
 # Engines live here rather than on the frozen models, so a model pickled to a
@@ -695,7 +684,7 @@ def _engine(model: JointScoreModel) -> _Engine:
     elif isinstance(model, EmpiricalJoint):
         eng = _EmpiricalEngine(model.predicted, model.true, model.tie_seed)
     elif isinstance(model, EmpiricalLabeled):
-        eng = _EmpiricalEngine(model.predicted, model.outcomes, model.tie_seed, labeled=True)
+        eng = _EmpiricalEngine(model.predicted, model.outcomes, model.tie_seed)
     else:
         raise TypeError(f"not a JointScoreModel: {model!r}")
     _ENGINES[model] = eng
@@ -799,15 +788,14 @@ def tpr_grid(model: JointScoreModel, taus: np.ndarray) -> np.ndarray:
 def sample_population(
     model: JointScoreModel,
     n: int,
-    binary_mode: bool = False,
     seed: int | np.random.SeedSequence | np.random.Generator = 0,
 ) -> Population:
     """Draw an i.i.d. cohort of n individuals; deterministic given the seed.
 
-    Draw order per cohort: true scores (corpus rows, with replacement), then
-    predictor noise, then (binary mode) outcomes -- each as one vectorized
-    pass in individual-index order.
+    Draw order per cohort: true scores (a mixture's component uniforms, then
+    its beta draws; or corpus rows, with replacement), then predictor noise
+    -- each as one vectorized pass in individual-index order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _engine(model).sample(np.random.default_rng(seed), n, binary_mode)
+    return Population(*_engine(model).sample(np.random.default_rng(seed), n))

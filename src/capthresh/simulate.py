@@ -14,11 +14,12 @@ cohort, the k smallest keys among those eligible, ties to a second key --
 tie key for priority, the lottery keys of the unserved for the lottery.
 
 RNG contract: the master seed spawns one independent substream per trial
-index.  Within a trial, draws are consumed in a fixed order -- cohort draws,
-flag tie-break permutation (drawn even when no one is flagged), request
-uniforms (individual-index order), then one prioritization tie key and one
-lottery key per individual.  A frozen cohort skips the first two: its flags
-use one permutation drawn from the master seed.  Each trial is drawn once and
+index.  Within a trial, draws are consumed in a fixed order -- cohort draws
+(``sample_population``'s, as plain arrays), flag tie-break permutation (drawn
+even when no one is flagged), request uniforms (individual-index order), then
+one prioritization tie key and one lottery key per individual.  A frozen
+cohort skips the first two: its flags use one permutation drawn from the
+master seed.  Each trial is drawn once and
 evaluated at every requested tau, so all grid points of a tau search share the
 same cohort, request and allocation draws (common random numbers).  Trials
 are evaluated in blocks, every flag count of a block at once, but each trial
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand
-from .score_model import JointScoreModel, Population, flagged_count, sample_population
+from .score_model import JointScoreModel, Population, _engine, flagged_count
 
 EXACT_BUDGET = 5000
 
@@ -174,14 +175,13 @@ def _serve(
     each row serves ``min(m, requests in the row)``.
     """
     k1 = min(int(math.floor(beta1 * m + 1e-9)), m)
+    # lottery keys lie in [0, 1): adding 1 lifts non-members above every member
     if k1 == 0:
-        served, rest = np.zeros(requests.shape, dtype=bool), requests
-    else:
-        # 1 - r_hat for non-requesters: at or above every requester's -r_hat
-        served = _smallest(~requests - r_hat, [k1], tie, requests)[..., 0, :]
-        rest = requests & ~served
+        return _smallest(lottery + ~requests, [m], tie, requests)[..., 0, :]
+    # 1 - r_hat for non-requesters: at or above every requester's -r_hat
+    served = _smallest(~requests - r_hat, [k1], tie, requests)[..., 0, :]
     if m > k1:
-        # lottery keys lie in [0, 1): adding 1 lifts non-members above every member
+        rest = requests & ~served
         served |= _smallest(lottery + ~rest, [m - k1], tie, rest)[..., 0, :]
     return served
 
@@ -208,8 +208,8 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
     t_step = max(1, _BLOCK_CELLS // (n * ks.size))
     out = np.empty((ks.size, hi - lo, 5))
     if population is not None:  # one (1, n) row that broadcasts over the trials
-        pop, perm = population, _flag_permutation(config.seed, n)
-        r_hat, values = pop.r_hat[None], pop.r[None]
+        perm = _flag_permutation(config.seed, n)
+        r_hat, values = population.r_hat[None], population.r[None]
     for t0 in range(lo, hi, t_step):
         t1 = min(t0 + t_step, hi)
         # per-trial draws, shaped (trial, 1, individual) to broadcast over flag counts
@@ -220,8 +220,7 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
         for t in range(t1 - t0):
             rng = np.random.default_rng(children[t0 + t])
             if population is None:
-                pop = sample_population(model, n, seed=rng)
-                r_hat[t], values[t] = pop.r_hat, pop.r
+                values[t], r_hat[t] = _engine(model).sample(rng, n)
                 perm[t] = rng.permutation(n)
             for draw in (u, tie, lottery):
                 rng.random(out=draw[t, 0])
@@ -233,10 +232,10 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
             served = _serve(requests, r_hat[:, None], tie, lottery, config.m, config.beta1)
             rows = out[s:s + k_step, t0 - lo:t1 - lo]
             rows[..., 0] = np.where(served, values[:, None], 0.0).sum(axis=-1).T
-            rows[..., 1] = served.sum(axis=-1).T
-            rows[..., 2] = (served & flags).sum(axis=-1).T
+            rows[..., 1] = served.sum(axis=-1, dtype=np.int32).T
+            rows[..., 2] = (served & flags).sum(axis=-1, dtype=np.int32).T
             rows[..., 3] = rows[..., 1] - rows[..., 2]
-            rows[..., 4] = requests.sum(axis=-1).T
+            rows[..., 4] = requests.sum(axis=-1, dtype=np.int32).T
     return out
 
 

@@ -234,8 +234,10 @@ def test_acceptance_07_auc_identities(uniform_perfect):
     for sigma in (0.0, 0.1):
         predictor = sm.Perfect() if sigma == 0.0 else sm.GaussianNoiseClipped(sigma)
         model = sm.Analytic(sm.Uniform01(), predictor)
-        pop = sm.sample_population(model, 10**4, binary_mode=True, seed=7)
-        gaps.append(abs(mt.auc_integral(model) - mt.auc_rank(pop.r_hat, pop.y.astype(int))))
+        rng = np.random.default_rng(7)
+        pop = sm.sample_population(model, 10**4, seed=rng)
+        y = (rng.random(pop.n) < pop.r).astype(int)  # Bernoulli(r) outcomes
+        gaps.append(abs(mt.auc_integral(model) - mt.auc_rank(pop.r_hat, y)))
     ok = ok and all(g <= 0.01 for g in gaps)
     _report(
         "7", "AUC identities",

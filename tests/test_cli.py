@@ -369,6 +369,22 @@ def test_rho_sweep_simulating_zero_capacity_exits_1(tmp_path, capsys):
     assert "sweep.lo: rho=0.001 leaves no capacity" in capsys.readouterr().err
 
 
+def test_oracle_with_two_beta1_entries_exits_1(tmp_path, capsys):
+    scn = _scenario(tmp_path, beta1=[0.0, 1.0])
+    assert cli.main(["oracle", "--scenario", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "beta1: this subcommand runs one allocation mix, got 2" in captured.err
+
+
+def test_simulating_sweep_with_two_beta1_entries_exits_1(tmp_path, capsys):
+    sweep = {"axis": "rho", "lo": 0.1, "hi": 0.5, "points": 3, "simulate": True}
+    scn = _scenario(tmp_path, population={"n": 400}, sweep=sweep, beta1=[0.0, 1.0])
+    assert cli.main(["sweep", "--scenario", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "beta1: this subcommand runs one allocation mix, got 2" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "m, n_values, commands, message",
     [

@@ -587,6 +587,16 @@ def test_batched_score_optimal_uses_the_cache():
     assert fl.score_optimal_threshold(model, fl.BehavioralParams(0.2, 0.5)) == -1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 0.7])
+def test_gap_curve_caches_only_the_p0_values_it_reaches(bad):
+    # an invalid p0 stops the sweep, so neither it nor a p0 after it is solved
+    model = _sweep_models()["mixture_perfect"]()
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            fl.gap_curve(fl.Fixed(0.8), axis="p0", grid=[0.1, 0.2, bad, 0.3], model=model, params=P, rho=0.2)
+    assert sorted(fl._SCORE_OPT_CACHE[model]) == [(0.1, 0.5), (0.2, 0.5)]
+
+
 def test_first_order_condition_is_bitwise_the_reference():
     for name, make in sorted(_sweep_models().items()):
         model, ref_model = make(), make()

@@ -113,8 +113,9 @@ def test_auc_integral_degenerate_mean():
 def test_auc_forms_agree(sigma):
     predictor = sm.Perfect() if sigma == 0.0 else sm.GaussianNoiseClipped(sigma)
     model = sm.Analytic(sm.Uniform01(), predictor)
-    pop = sm.sample_population(model, 10**4, binary_mode=True, seed=23)
-    rank = mt.auc_rank(pop.r_hat, pop.y.astype(int))
+    rng = np.random.default_rng(23)
+    pop = sm.sample_population(model, 10**4, seed=rng)
+    rank = mt.auc_rank(pop.r_hat, (rng.random(pop.n) < pop.r).astype(int))  # Bernoulli(r) outcomes
     assert mt.auc_integral(model) == pytest.approx(rank, abs=0.01)
 
 

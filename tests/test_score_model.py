@@ -457,7 +457,6 @@ def test_tpr_identity_empirical_exact():
 def test_sample_perfect_predictor_matches(uniform_perfect):
     pop = sm.sample_population(uniform_perfect, 5, seed=1)
     assert np.array_equal(pop.r, pop.r_hat)
-    assert pop.y is None
 
 
 def test_sample_mean_clt(uniform_perfect):
@@ -466,18 +465,39 @@ def test_sample_mean_clt(uniform_perfect):
 
 
 def test_sample_binary_mode_outcomes(mixture_perfect):
-    pop = sm.sample_population(mixture_perfect, 200_000, binary_mode=True, seed=2)
-    assert pop.y is not None
-    assert set(np.unique(pop.y)) <= {0.0, 1.0}
-    assert pop.y.mean() == pytest.approx(pop.r.mean(), abs=0.005)
+    # outcomes are Bernoulli(r) draws a caller makes next from the cohort's generator
+    rng = np.random.default_rng(2)
+    pop = sm.sample_population(mixture_perfect, 200_000, seed=rng)
+    y = rng.random(pop.n) < pop.r
+    assert y.mean() == pytest.approx(pop.r.mean(), abs=0.005)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        ((1.0, 2.0, 3.0),),
+        ((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)),
+        ((0.5, 2.0, 3.0), (0.0, 1.0, 1.0), (0.5, 0.5, 4.0)),  # a component of weight 0
+    ],
+)
+@pytest.mark.parametrize("n", [1, 1000, 20000])
+def test_mixture_sample_matches_generator_choice(components, n):
+    # the reference: components picked by Generator.choice, then the beta draws
+    weights, alphas, betas = np.array(components).T
+    mix = sm.BetaMixture(components)
+    for seed in (0, 1, 5, 2026):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        comp = ref.choice(len(components), size=n, p=weights)
+        assert np.array_equal(mix.sample(ours, n), ref.beta(alphas[comp], betas[comp]))
+        assert ours.random() == ref.random()  # the same draws consumed
 
 
 def test_sample_determinism(mixture_noisy):
-    a = sm.sample_population(mixture_noisy, 1000, binary_mode=True, seed=42)
-    b = sm.sample_population(mixture_noisy, 1000, binary_mode=True, seed=42)
+    rngs = np.random.default_rng(42), np.random.default_rng(42)
+    a, b = (sm.sample_population(mixture_noisy, 1000, seed=rng) for rng in rngs)
     assert np.array_equal(a.r, b.r)
     assert np.array_equal(a.r_hat, b.r_hat)
-    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(rngs[0].random(1000), rngs[1].random(1000))
 
 
 def test_noisy_sampling_and_mean_leave_scipy_stats_unloaded(cli_env):
@@ -489,7 +509,7 @@ def test_noisy_sampling_and_mean_leave_scipy_stats_unloaded(cli_env):
         from capthresh import metrics, score_model as sm
         mix = sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)))
         model = sm.Analytic(mix, sm.GaussianNoiseClipped(0.1))
-        sm.sample_population(model, 100, binary_mode=True, seed=1)
+        sm.sample_population(model, 100, seed=1)
         sm.mean_true_score(model)
         sm.predicted_quantile(model, 0.8)
         sm.conditional_mean_above(model, 0.8)
@@ -542,16 +562,11 @@ def test_model_kind_answers_every_primitive(kind):
             sm.conditional_mean_at(model, 0.5)
     else:
         assert 0.0 < sm.conditional_mean_at(model, 0.5) < 1.0, home
-    for binary_mode in (False, True):
-        pop = sm.sample_population(model, 50, binary_mode, seed=3)
-        again = sm.sample_population(model, 50, binary_mode, seed=3)
-        assert pop.n == 50 and np.array_equal(pop.r, again.r) and np.array_equal(pop.r_hat, again.r_hat)
-        assert (pop.y is not None) == binary_mode, home
-        if binary_mode:
-            assert set(np.unique(pop.y)) <= {0.0, 1.0}
-            assert np.array_equal(pop.y, again.y)
-            if kind == "labeled":
-                assert np.array_equal(pop.y, pop.r)  # the outcomes are the data
+    pop = sm.sample_population(model, 50, seed=3)
+    again = sm.sample_population(model, 50, seed=3)
+    assert pop.n == 50 and np.array_equal(pop.r, again.r) and np.array_equal(pop.r_hat, again.r_hat), home
+    if kind == "labeled":
+        assert set(np.unique(pop.r)) <= {0.0, 1.0}, home  # the outcomes are the data
 
 
 def test_unknown_model_kind_raises_type_error():

@@ -19,10 +19,10 @@ def _uniform_pop(n, seed=0):
 # --- non-finite cohorts ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("field", ["r", "r_hat", "y"])
+@pytest.mark.parametrize("field", ["r", "r_hat"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_population_rejects_non_finite(field, bad):
-    arrays = {"r": np.linspace(0.1, 0.9, 10), "r_hat": np.linspace(0.1, 0.9, 10), "y": np.ones(10)}
+    arrays = {"r": np.linspace(0.1, 0.9, 10), "r_hat": np.linspace(0.1, 0.9, 10)}
     arrays[field][3] = bad
     with pytest.raises(ValueError, match=f"population {field} must be finite"):
         sm.Population(**arrays)
@@ -565,13 +565,14 @@ def test_grid_oracle_worker_independent(mixture_noisy):
 
 def test_grid_oracle_samples_each_cohort_once(monkeypatch, uniform_perfect):
     calls = []
-    sample = sim.sample_population
+    engine = sm._engine(uniform_perfect)
+    sample = engine.sample
 
     def counting(*args, **kwargs):
         calls.append(1)
         return sample(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "sample_population", counting)
+    monkeypatch.setattr(engine, "sample", counting)
     cfg = sim.SimConfig(n=100, m=20, params=P, trials=25, seed=5)
     sim.grid_oracle(cfg, uniform_perfect, 21)
     assert len(calls) == 25

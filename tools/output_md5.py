@@ -21,8 +21,9 @@ print agree between checkouts.
 
 The table goes to stdout as Markdown, one row per stdout or file and one md5
 column per checkout; the exit column lists each checkout's exit code where
-they differ.  A last line on stderr counts the rows whose md5s differ
-between checkouts.
+they differ.  A last line on stderr counts the rows whose md5s or exit
+codes differ between checkouts.  The exit code is 1 when any row differs,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -131,10 +132,10 @@ def main(argv: list[str]) -> int:
         cells = [table.get(name, ("missing", "missing")) for table in tables]
         codes = list(dict.fromkeys(code for code, _ in cells))
         md5s = [md5 for _, md5 in cells]
-        differ += len(set(md5s)) > 1
+        differ += len(set(md5s)) > 1 or len(codes) > 1
         print(f"| {name} | {'/'.join(codes)} | " + " | ".join(md5s) + " |")
-    print(f"{len(names)} rows, {differ} with differing md5s", file=sys.stderr)
-    return 0
+    print(f"{len(names)} rows, {differ} with differing md5s or exit codes", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
