@@ -26,20 +26,11 @@ policies = [
 
 
 def sweep_to_table(axis, grid, rho=None):
-    rows = []
-    for policy in policies:
-        pts = ct.gap_curve(
-            policy, axis=axis, grid=grid, model=model, params=params, rho=rho, n=1000
-        )
-        rows += [
-            sio.SweepRow(
-                axis_value=p.x, policy=policy.label, tau=p.tau_policy,
-                fluid_w=p.objective_policy, sim_mean=None, sim_se=None,
-                gap=p.gap, rel_gap=p.rel_gap,
-            )
-            for p in pts
-        ]
-    return sio.SweepTable(rows=tuple(rows))
+    curves = [
+        ct.gap_curve(policy, axis=axis, grid=grid, model=model, params=params, rho=rho, n=1000)
+        for policy in policies
+    ]
+    return sio.sweep_table([policy.label for policy in policies], curves)
 
 
 print("Sweeping the capacity ratio (p0 fixed at 0.1)...")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fluid, metrics, scenario as sio, score_model as sm, simulate as sim
 from .fluid import BehavioralParams
-from .scenario import ScenarioError, SweepRow, SweepTable
+from .scenario import ScenarioError
 
 
 def _fmt(x) -> str:
@@ -130,33 +130,24 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
         fluid.gap_curve(p, axis=axis, grid=grid, model=model, params=params, rho=rho, n=scn.n)
         for p in policies
     ]
-    # per grid point, every policy is simulated from one set of draws
-    sims = [[(None, None)] * len(grid) for _ in policies]
+    sims = None
     if sweep.simulate:
-        for j, x in enumerate(grid):
+        beta1 = _require_one_beta1(scn)
+        by_point = []  # per grid point, every policy is simulated from one set of draws
+        for x in grid:
             x = float(x)
             if axis == "rho":
                 m, pt_params = int(round(x * scn.n)), params
             else:
                 m, pt_params = scn.m, BehavioralParams(x, params.delta_p)
             cfg = sim.SimConfig(
-                n=scn.n, m=m, params=pt_params, beta1=_require_one_beta1(scn),
-                trials=scn.trials, seed=scn.seed,
+                n=scn.n, m=m, params=pt_params, beta1=beta1, trials=scn.trials, seed=scn.seed
             )
             taus = [p.threshold(m / scn.n, model, pt_params) for p in policies]
-            for i, est in enumerate(sim.simulate_taus(cfg, taus, model, workers=args.workers)):
-                sims[i][j] = (est.mean, est.std_error)
-    rows = []
-    for policy, points, sim_row in zip(policies, curves, sims):
-        for pt, (sim_mean, sim_se) in zip(points, sim_row):
-            rows.append(
-                SweepRow(
-                    axis_value=pt.x, policy=policy.label, tau=pt.tau_policy,
-                    fluid_w=pt.objective_policy, sim_mean=sim_mean, sim_se=sim_se,
-                    gap=pt.gap, rel_gap=pt.rel_gap,
-                )
-            )
-    table = SweepTable(rows=tuple(rows))
+            ests = sim.simulate_taus(cfg, taus, model, workers=args.workers)
+            by_point.append([(est.mean, est.std_error) for est in ests])
+        sims = list(zip(*by_point))
+    table = sio.sweep_table([p.label for p in policies], curves, sims)
     csv_path = prefix + "_sweep.csv"
     svg_path = prefix + "_sweep.svg"
     sio.write_sweep_csv(table, csv_path)
@@ -219,8 +210,7 @@ def _cmd_validate(scn: sio.Scenario, args) -> int:
     for nk in vspec.n_values:
         if int(round(rho * nk)) == 0:
             raise ScenarioError(f"validate.n_values: n={nk} at rho={rho} leaves no capacity")
-    lines = ["n,method,fluid_w,estimate,abs_error,rel_error"]
-    last_rel = float("nan")
+    rows = []
     for nk in vspec.n_values:
         mk = int(round(rho * nk))
         tau_star = fluid.two_point_threshold(mk / nk, model, params)
@@ -245,16 +235,10 @@ def _cmd_validate(scn: sio.Scenario, args) -> int:
                 cfg, fluid.Fixed(tau_star), model, workers=args.workers
             ).mean
         abs_err = abs(fluid_w - est)
-        rel_err = abs_err / fluid_w if fluid_w else 0.0
-        last_rel = rel_err
-        lines.append(
-            ",".join(
-                (str(nk), method) + tuple(format(v, ".9g") for v in (fluid_w, est, abs_err, rel_err))
-            )
-        )
+        rows.append((nk, method, fluid_w, est, abs_err, abs_err / fluid_w if fluid_w else 0.0))
     out_path = prefix + "_validate.csv"
-    sio._write_atomic(sio.Path(out_path), "\n".join(lines) + "\n")
-    _emit(csv=out_path, rel_error_final=last_rel)
+    sio.write_csv(out_path, "n,method,fluid_w,estimate,abs_error,rel_error", rows)
+    _emit(csv=out_path, rel_error_final=rows[-1][-1])
     return 0
 
 

@@ -12,9 +12,10 @@ are built, and corpus CSVs read, only by the command that uses them.  No
 randomness is ever drawn outside the declared seed, so a scenario file is a
 complete recipe for its outputs.
 
-All emitted files are byte-deterministic: floats are formatted to 9
-significant digits, line endings are LF, and the SVG writer is hand-rolled
-(no timestamps, no hashed ids).
+All emitted files are byte-deterministic and leave by one path: every CSV
+table (sweep, OpAUC audit, validate) through :func:`write_csv` (9 significant
+digits, LF endings), and every file through the write-then-rename
+``_write_atomic``.  The SVG writer is hand-rolled (no timestamps, no hashed ids).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +254,9 @@ def _parse(doc: dict, base_dir: Path) -> Scenario:
         for i, c in enumerate(_nonempty(doc["candidates"], "scenario.candidates")):
             _keys(c, {"name", "model"}, f"candidates[{i}]")
             name = _get(c, "name", str, f"candidates[{i}]")
+            # the name is an unquoted CSV field and stdout value
+            if not name.isprintable() or not name or set(name) & set(' ,="'):
+                _fail(f"candidates[{i}].name", "must be non-empty and printable, without ' ,=\"'")
             if any(name == seen for seen, _ in candidates):
                 _fail(f"candidates[{i}].name", f"duplicate candidate name '{name}'")
             candidates.append((name, _model(c.get("model"), f"candidates[{i}].model", base_dir)))
@@ -469,7 +474,7 @@ def _scan_rows(name: str, body: list[str], mode: str) -> tuple[np.ndarray, np.nd
 
 
 # ---------------------------------------------------------------------------
-# Sweep tables
+# Sweep tables and CSV output
 # ---------------------------------------------------------------------------
 
 
@@ -496,33 +501,41 @@ class SweepTable:
         object.__setattr__(self, "rows", ordered)
 
 
+def sweep_table(labels, curves, sims=None) -> SweepTable:
+    """Rows of each policy's ``gap_curve`` points under its label; ``sims``
+    gives, per policy, a simulated (mean, se) per point, else both are empty."""
+    rows = []
+    for i, (label, points) in enumerate(zip(labels, curves)):
+        estimates = sims[i] if sims is not None else [(None, None)] * len(points)
+        rows += [
+            SweepRow(pt.x, label, pt.tau_policy, pt.objective_policy, mean, se, pt.gap, pt.rel_gap)
+            for pt, (mean, se) in zip(points, estimates)
+        ]
+    return SweepTable(rows=tuple(rows))
+
+
 CSV_HEADER = "axis,policy,tau,fluid_w,sim_mean,sim_se,gap,rel_gap"
+_SWEEP_CELLS = attrgetter(*(f.name for f in dataclasses.fields(SweepRow)))
 
 
-def _fmt(x: float | None) -> str:
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
     return "" if x is None else format(x, ".9g")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """The one CSV writer: a str cell as is, None empty, a number to 9 significant digits."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    for row in rows:
+        buf.write(",".join(map(_cell, row)) + "\n")
+    _write_atomic(path, buf.getvalue())
 
 
 def write_sweep_csv(table: SweepTable, path) -> None:
     """Fixed column order, 9 significant digits, LF endings, UTF-8."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in table.rows:
-        buf.write(
-            ",".join(
-                (
-                    _fmt(r.axis_value), r.policy, _fmt(r.tau), _fmt(r.fluid_w),
-                    _fmt(r.sim_mean), _fmt(r.sim_se), _fmt(r.gap), _fmt(r.rel_gap),
-                )
-            )
-            + "\n"
-        )
-    _write_atomic(Path(path), buf.getvalue())
-
-
-# ---------------------------------------------------------------------------
-# Selection report output
-# ---------------------------------------------------------------------------
+    write_csv(path, CSV_HEADER, map(_SWEEP_CELLS, table.rows))
 
 
 def write_selection_report(report: SelectionReport, prefix) -> tuple[Path, Path]:
@@ -530,14 +543,11 @@ def write_selection_report(report: SelectionReport, prefix) -> tuple[Path, Path]
     prefix = Path(prefix)
     csv_path = prefix.parent / (prefix.name + "_opauc.csv")
     json_path = prefix.parent / (prefix.name + "_opauc.json")
-    buf = io.StringIO()
-    buf.write("candidate,rho,weight,tau_star,tpr,integrand\n")
-    for cand in report.candidates:
-        for rho, w, tau_star, tpr, val in cand.table:
-            buf.write(
-                f"{cand.name},{_fmt(rho)},{_fmt(w)},{_fmt(tau_star)},{_fmt(tpr)},{_fmt(val)}\n"
-            )
-    _write_atomic(csv_path, buf.getvalue())
+    write_csv(
+        csv_path,
+        "candidate,rho,weight,tau_star,tpr,integrand",
+        ((cand.name, *row) for cand in report.candidates for row in cand.table),
+    )
     summary = {
         "candidates": [
             {"name": c.name, "auc": c.auc, "opauc": c.opauc} for c in report.candidates
@@ -555,6 +565,11 @@ def write_selection_report(report: SelectionReport, prefix) -> tuple[Path, Path]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 _PANEL_W, _PANEL_H, _MARGIN, _GAP = 320, 260, 48, 28
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = None) -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor} font-family="monospace" font-size="{size}">{body}</text>'
 
 
 def render_sweep_svg(table: SweepTable, axis_label: str, path) -> None:
@@ -593,22 +608,13 @@ def render_sweep_svg(table: SweepTable, axis_label: str, path) -> None:
             f'<rect x="{ox}" y="{oy}" width="{_PANEL_W}" height="{_PANEL_H}" '
             'fill="none" stroke="#444444" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{ox + _PANEL_W / 2:.2f}" y="{oy - 10}" text-anchor="middle" '
-            f'font-family="monospace" font-size="13">{title}</text>'
-        )
-        parts.append(
-            f'<text x="{ox + _PANEL_W / 2:.2f}" y="{oy + _PANEL_H + 30}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12">{axis_label}</text>'
-        )
-        parts.append(
-            f'<text x="{ox - 6}" y="{oy + 12}" text-anchor="end" font-family="monospace" '
-            f'font-size="10">{v_hi:.4g}</text>'
-        )
-        parts.append(
-            f'<text x="{ox - 6}" y="{oy + _PANEL_H}" text-anchor="end" font-family="monospace" '
-            f'font-size="10">{v_lo:.4g}</text>'
-        )
+        mid = f"{ox + _PANEL_W / 2:.2f}"
+        parts += [
+            _text(mid, oy - 10, 13, title, "middle"),
+            _text(mid, oy + _PANEL_H + 30, 12, axis_label, "middle"),
+            _text(ox - 6, oy + 12, 10, f"{v_hi:.4g}", "end"),
+            _text(ox - 6, oy + _PANEL_H, 10, f"{v_lo:.4g}", "end"),
+        ]
         for k, pol in enumerate(policies):
             rows = [r for r in table.rows if r.policy == pol]
             pts = " ".join(
@@ -628,10 +634,7 @@ def render_sweep_svg(table: SweepTable, axis_label: str, path) -> None:
             f'<line x1="{_MARGIN}" y1="{y}" x2="{_MARGIN + 24}" y2="{y}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{_MARGIN + 30}" y="{y + 4}" font-family="monospace" '
-            f'font-size="12">{pol}</text>'
-        )
+        parts.append(_text(_MARGIN + 30, y + 4, 12, pol))
     parts.append("</svg>")
     _write_atomic(Path(path), "\n".join(parts) + "\n")
 

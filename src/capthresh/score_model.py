@@ -661,7 +661,7 @@ class _EmpiricalEngine(_Engine):
         return self._mean
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = rng.choice(self.n, size=n, replace=True)
+        idx = rng.integers(0, self.n, size=n)  # the rows rng.choice(self.n, n) picks, bit for bit
         return self.values[idx], self.predicted[idx]
 
 

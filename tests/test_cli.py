@@ -178,6 +178,20 @@ def test_opauc_small_corpus_candidate_exits_0(tmp_path, capsys):
     assert by_name["corpus"]["auc"] == pytest.approx(by_name["sharp"]["auc"], abs=0.02)
 
 
+@pytest.mark.parametrize("name", ["a,b", "line\nbreak", "my model", "x=1", ""])
+def test_opauc_candidate_name_that_breaks_the_outputs_exits_1(tmp_path, capsys, name):
+    # regression: each of these names exited 0 with a split CSV row or stdout line
+    uniform = {"kind": "uniform", "predictor": {"kind": "perfect"}}
+    scn = _scenario(
+        tmp_path,
+        mu={"kind": "atoms", "atoms": [[0.2, 1.0]]},
+        candidates=[{"name": "ok", "model": uniform}, {"name": name, "model": uniform}],
+    )
+    assert cli.main(["opauc", "--scenario", str(scn)]) == 1
+    assert "candidates[1].name: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_opauc_zero_capacity_ratio_exits_1(tmp_path, capsys):
     # regression: mu.lo = 0 passed the parser, then opauc exited 2 with "rho must be positive"
     doc = json.loads((DEMO_SCENARIOS / "operating_point.json").read_text(encoding="utf-8"))
@@ -192,9 +206,17 @@ def test_validate_convergence_table(tmp_path, capsys):
     scn = _scenario(tmp_path, validate={"n_values": [100, 400, 1600], "populations": 200})
     code, out = _run(capsys, "validate", "--scenario", str(scn))
     assert code == 0
-    rows = (tmp_path / "out" / "run_validate.csv").read_text().splitlines()
-    assert rows[0] == "n,method,fluid_w,estimate,abs_error,rel_error"
-    rels = [float(r.split(",")[-1]) for r in rows[1:]]
+    csv_path = tmp_path / "out" / "run_validate.csv"
+    assert out == f"csv={csv_path} rel_error_final=0.00045514715494978004\n"
+    rows = csv_path.read_bytes().decode("utf-8").split("\n")
+    assert rows == [
+        "n,method,fluid_w,estimate,abs_error,rel_error",
+        "100,exact,14.202041,14.0052051,0.196835965,0.0138596956",
+        "400,exact,56.8081641,56.7281431,0.0800210557,0.00140861894",
+        "1600,exact,227.232656,227.129232,0.103424297,0.000455147155",
+        "",
+    ]
+    rels = [float(r.split(",")[-1]) for r in rows[1:-1]]
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 0.01
 

@@ -427,6 +427,41 @@ def test_svg_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_svg_two_rows_exact_text(tmp_path):
+    rows = (
+        _row(0.1, "a"),
+        dataclasses.replace(_row(0.3, "a"), tau=0.75, fluid_w=1.5, gap=0.125, rel_gap=0.25),
+    )
+    path = tmp_path / "plot.svg"
+    sio.render_sweep_svg(sio.SweepTable(rows=rows), "rho", path)
+    assert path.read_bytes().decode("utf-8").split("\n") == [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="1112" height="392" viewBox="0 0 1112 392">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        '<rect x="48" y="48" width="320" height="260" fill="none" stroke="#444444" stroke-width="1"/>',
+        '<text x="208.00" y="38" text-anchor="middle" font-family="monospace" font-size="13">threshold tau</text>',
+        '<text x="208.00" y="338" text-anchor="middle" font-family="monospace" font-size="12">rho</text>',
+        '<text x="42" y="60" text-anchor="end" font-family="monospace" font-size="10">0.7625</text>',
+        '<text x="42" y="308" text-anchor="end" font-family="monospace" font-size="10">0.4875</text>',
+        '<polyline points="48.00,296.18 368.00,59.82" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        '<rect x="396" y="48" width="320" height="260" fill="none" stroke="#444444" stroke-width="1"/>',
+        '<text x="556.00" y="38" text-anchor="middle" font-family="monospace" font-size="13">fluid objective</text>',
+        '<text x="556.00" y="338" text-anchor="middle" font-family="monospace" font-size="12">rho</text>',
+        '<text x="390" y="60" text-anchor="end" font-family="monospace" font-size="10">1.512</text>',
+        '<text x="390" y="308" text-anchor="end" font-family="monospace" font-size="10">1.238</text>',
+        '<polyline points="396.00,296.18 716.00,59.82" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        '<rect x="744" y="48" width="320" height="260" fill="none" stroke="#444444" stroke-width="1"/>',
+        '<text x="904.00" y="38" text-anchor="middle" font-family="monospace" font-size="13">relative gap</text>',
+        '<text x="904.00" y="338" text-anchor="middle" font-family="monospace" font-size="12">rho</text>',
+        '<text x="738" y="60" text-anchor="end" font-family="monospace" font-size="10">0.2625</text>',
+        '<text x="738" y="308" text-anchor="end" font-family="monospace" font-size="10">-0.0125</text>',
+        '<polyline points="744.00,296.18 1064.00,59.82" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        '<line x1="48" y1="354" x2="72" y2="354" stroke="#1f77b4" stroke-width="2"/>',
+        '<text x="78" y="358" font-family="monospace" font-size="12">a</text>',
+        '</svg>',
+        "",
+    ]
+
+
 def test_svg_empty_table_rejected(tmp_path):
     with pytest.raises(sio.ScenarioError):
         sio.render_sweep_svg(sio.SweepTable(rows=()), "rho", tmp_path / "x.svg")

@@ -492,6 +492,21 @@ def test_mixture_sample_matches_generator_choice(components, n):
         assert ours.random() == ref.random()  # the same draws consumed
 
 
+@pytest.mark.parametrize("n", [1, 5, 1000, 20000])
+def test_corpus_sample_matches_generator_choice(n):
+    # the reference: corpus rows picked by Generator.choice with replacement
+    rng = np.random.default_rng(11)
+    pred, true = rng.random(20_000), rng.random(20_000)
+    model = sm.EmpiricalJoint(pred, true, tie_seed=2)
+    for seed in range(5):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pop = sm.sample_population(model, n, seed=ours)
+        idx = ref.choice(pred.size, size=n, replace=True)
+        assert np.array_equal(pop.r, true[idx])
+        assert np.array_equal(pop.r_hat, pred[idx])
+        assert ours.random() == ref.random()  # the same draws consumed
+
+
 def test_sample_determinism(mixture_noisy):
     rngs = np.random.default_rng(42), np.random.default_rng(42)
     a, b = (sm.sample_population(mixture_noisy, 1000, seed=rng) for rng in rngs)

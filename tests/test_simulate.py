@@ -384,7 +384,7 @@ def test_fluid_convergence_in_n(mixture_perfect):
     n, m = 6400, 1280
     tau = fl.two_point_threshold(0.2, mixture_perfect, P)
     cfg = sim.SimConfig(n=n, m=m, params=P, trials=12_000, seed=6)
-    est = sim.simulate_policy(cfg, fl.Fixed(tau), mixture_perfect)
+    est = sim.simulate_policy(cfg, fl.Fixed(tau), mixture_perfect, workers=2)
     fluid_w = fl.fluid_objective(tau, mixture_perfect, n, m, P)
     rel_mc = abs(fluid_w - est.mean) / fluid_w
     assert rel_mc <= rel_errors[2] + 3 * est.std_error / fluid_w
