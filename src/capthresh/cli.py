@@ -106,10 +106,7 @@ def _cmd_threshold(scn: sio.Scenario, args) -> int:
     tau_score = fluid.score_optimal_threshold(model, params)
     tau_star = min(tau_c, tau_score)
     regime = "cannibalization-bound" if tau_score < tau_c else "utilization-bound"
-    if 0.0 < rho < 1.0 and 0.0 < params.delta_p < 1.0:
-        p0_critical = fluid.critical_baseline(rho, model, params.delta_p)
-    else:
-        p0_critical = float("nan")
+    p0_critical = fluid.critical_baseline(rho, model, params.delta_p)
     _emit(rho=rho, tau_c=tau_c, tau_score=tau_score, tau_star=tau_star,
           p0_critical=p0_critical, regime=regime)
     return 0

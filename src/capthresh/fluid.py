@@ -19,12 +19,15 @@ Thresholds implemented here:
 * critical baseline  p0_bar  -- the smallest baseline request probability at
   which the score-optimal threshold starts to bind.
 
-Everything is a pure function of immutable inputs.  A sweep is solved as a
-whole rather than point by point: the score-optimal thresholds of all its p0
-values in one lockstep bisection, and its objectives from one grid of tail
-means.  Each result is bitwise the single-point one, whatever else the sweep
-holds and in whatever order.  An invalid p0 is solved along with the rest
-and raises at its own point of the sweep.
+Everything is a pure function of immutable inputs.  The objective has one
+array form, ``_objective_grid``, with the elementwise arithmetic of the scalar
+``fluid_objective``; the grid oracle and every sweep evaluate W through it.
+A sweep is solved as a whole rather than point by point: the score-optimal
+thresholds of all its p0 values in one lockstep bisection, and both
+objectives of every point from one grid of tail means and one
+``_objective_grid`` call.  Each result is bitwise the single-point one,
+whatever else the sweep holds and in whatever order.  An invalid p0 is
+solved along with the rest and raises at its own point of the sweep.
 """
 
 from __future__ import annotations
@@ -156,11 +159,8 @@ class GridOracle(ThresholdPolicy):
         if rho < 0:
             raise ValueError("m must be nonnegative")
         taus = np.linspace(0.0, 1.0, self.grid_size)
-        served = np.minimum(params.p0 + params.delta_p * (1.0 - taus), rho)
-        efficacy = _efficacy_grid(
-            taus, conditional_mean_above_grid(model, taus), mean_true_score(model), params.p0, params.delta_p
-        )
-        values = np.where(served == 0.0, 0.0, served * efficacy)
+        cma = conditional_mean_above_grid(model, taus)
+        values = _objective_grid(taus, cma, mean_true_score(model), 1.0, rho, params.p0, params.delta_p)
         return _grid_argmax(taus, values)
 
 
@@ -205,11 +205,6 @@ def fluid_served(tau: float, n: float, m: float, params: BehavioralParams) -> fl
 
 def fluid_efficacy(tau: float, model: JointScoreModel, params: BehavioralParams) -> float:
     """Mean true score of a served request at threshold tau."""
-    return _efficacy(tau, model, params, conditional_mean_above)
-
-
-def _efficacy(tau: float, model: JointScoreModel, params: BehavioralParams, tail_mean) -> float:
-    """fluid_efficacy with the tail mean E[r | r_hat >= q(tau)] from tail_mean(model, tau)."""
     w = params.delta_p * (1.0 - tau)
     denom = params.p0 + w
     if denom <= 0.0:
@@ -217,22 +212,17 @@ def _efficacy(tau: float, model: JointScoreModel, params: BehavioralParams, tail
     er = mean_true_score(model)
     if w == 0.0:
         return er
-    return (params.p0 * er + w * tail_mean(model, tau)) / denom
+    return (params.p0 * er + w * conditional_mean_above(model, tau)) / denom
 
 
 def fluid_objective(
     tau: float, model: JointScoreModel, n: float, m: float, params: BehavioralParams
 ) -> float:
     """Expected total served value in the fluid model."""
-    return _objective(tau, model, n, m, params, conditional_mean_above)
-
-
-def _objective(tau, model, n, m, params, tail_mean) -> float:
-    """fluid_objective with the tail mean from tail_mean(model, tau)."""
     served = fluid_served(tau, n, m, params)
     if served == 0.0:
         return 0.0
-    return served * _efficacy(tau, model, params, tail_mean)
+    return served * fluid_efficacy(tau, model, params)
 
 
 # --- score-optimal threshold ------------------------------------------------
@@ -361,15 +351,25 @@ def _empirical_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) 
     return [_grid_argmax(taus, _efficacy_grid(taus, cma, er, p0, delta_p)) for p0 in p0s]
 
 
-def _efficacy_grid(taus: np.ndarray, cma: np.ndarray, er: float, p0: float, delta_p: float) -> np.ndarray:
+def _efficacy_grid(taus: np.ndarray, cma: np.ndarray, er: float, p0, delta_p: float) -> np.ndarray:
     """fluid_efficacy at every tau of a grid with tail means cma, with the same
-    elementwise arithmetic.
+    elementwise arithmetic; p0 broadcasts against taus.
 
     NaN below tau = 1 where the tail is empty; E[r] where no one is flagged.
     """
     w = delta_p * (1.0 - taus)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(w == 0.0, er, (p0 * er + w * cma) / (p0 + w))
+
+
+def _objective_grid(taus, cma, er: float, n: float, m, p0, delta_p: float) -> np.ndarray:
+    """fluid_objective at every tau of an array with tail means cma, with the
+    same elementwise arithmetic; m and p0 broadcast against taus.
+
+    NaN where the scalar call would need a missing tail mean.
+    """
+    served = np.minimum(n * (p0 + delta_p * (1.0 - taus)), m)
+    return np.where(served == 0.0, 0.0, served * _efficacy_grid(taus, cma, er, p0, delta_p))
 
 
 def _grid_argmax(taus: np.ndarray, values: np.ndarray) -> float:
@@ -399,12 +399,13 @@ def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> flo
     tau_c(p0), and no score-optimal solve is needed.  Empirical corpora,
     whose score-optimal threshold is a grid argmax, bisect on the difference
     tau_score(p0) - tau_c(p0) itself.  Returns 0 if the score-optimal
-    threshold already binds at p0 = 0 and 1 - delta_p if it never binds.
+    threshold already binds at p0 = 0 and 1 - delta_p if it never binds, as
+    at rho >= 1, where capacity covers everyone who could request.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
-    if not 0.0 < delta_p < 1.0:
-        raise ValueError("delta_p must be in (0, 1)")
+    if not rho > 0.0:
+        raise ValueError("rho must be positive")
+    if not 0.0 < delta_p <= 1.0:
+        raise ValueError("delta_p must be in (0, 1]")
     p_max = 1.0 - delta_p
     empirical = is_empirical(model)
 
@@ -471,7 +472,8 @@ def gap_curve(
     is defined as 0 at degenerate points where W(tau*) = 0.
 
     The sweep is solved as a whole: a p0 sweep's score-optimal thresholds in
-    one lockstep bisection, then every objective from one grid of tail means.
+    one lockstep bisection, then every objective from one grid of tail means
+    and one ``_objective_grid`` call.
     Each value is bitwise the one a point-by-point evaluation gives, and the
     error raised is the one the first failing point raises there.
     """
@@ -502,15 +504,26 @@ def gap_curve(
             plan.append(policy.threshold(pt_rho, model, pt_params))
     except Exception as exc:
         failure = exc
-    tail_mean = _tail_means(model, [tau for plan in plans for tau in plan[3:]])
+    # both objectives of every point from one grid of tail means; a point whose
+    # policy raised repeats tau_star in its unused policy column
+    cols = np.array([(plan[1] * n, plan[2].p0, plan[3], plan[-1]) for plan in plans]).reshape(-1, 4)
+    m, p0, taus = cols[:, :1], cols[:, 1:2], cols[:, 2:]
+    inside = (taus >= 0.0) & (taus <= 1.0)
+    cma = np.full(taus.shape, math.nan)
+    cma[inside] = conditional_mean_above_grid(model, taus[inside])
+    values = _objective_grid(taus, cma, mean_true_score(model), n, m, p0, params.delta_p)
+    if n < 1:  # fluid_served rejects it, so every cell goes to the scalar call
+        values.fill(math.nan)
     points = []
-    for x, pt_rho, pt_params, tau_star, *tau_pol in plans:
-        m = pt_rho * n
-        w_star = _objective(tau_star, model, n, m, pt_params, tail_mean)
+    for (x, pt_rho, pt_params, tau_star, *tau_pol), (w_star, w_pol) in zip(plans, values.tolist()):
+        # a NaN cell goes to the scalar call, which raises its own error
+        if math.isnan(w_star):
+            w_star = fluid_objective(tau_star, model, n, pt_rho * n, pt_params)
         if not tau_pol:  # the policy raised at this point
             break
         tau_pol = tau_pol[0]
-        w_pol = _objective(tau_pol, model, n, m, pt_params, tail_mean)
+        if math.isnan(w_pol):
+            w_pol = fluid_objective(tau_pol, model, n, pt_rho * n, pt_params)
         gap = w_star - w_pol
         if gap < -1e-7 * max(1.0, abs(w_star)):
             raise AssertionError(
@@ -532,19 +545,3 @@ def gap_curve(
     if failure is not None:
         raise failure
     return points
-
-
-def _tail_means(model: JointScoreModel, taus: list[float]):
-    """conditional_mean_above as a lookup, filled by one grid call at taus.
-
-    A tau the grid call cannot answer (outside [0, 1], or with an empty tail)
-    goes to the scalar call, which raises its own error.
-    """
-    grid = [t for t in dict.fromkeys(taus) if 0.0 <= t <= 1.0]
-    table = dict(zip(grid, conditional_mean_above_grid(model, np.array(grid)).tolist())) if grid else {}
-
-    def tail_mean(model: JointScoreModel, tau: float) -> float:
-        cma = table.get(tau, math.nan)
-        return conditional_mean_above(model, tau) if math.isnan(cma) else cma
-
-    return tail_mean

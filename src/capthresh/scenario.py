@@ -333,7 +333,9 @@ def _sweep(spec: dict, n: int, m: int | None, dp: float) -> Sweep:
         if m is not None:
             _fail("population.m", "fix m or sweep rho, not both")
     else:
-        if lo < 0 or hi + dp > 1.0 + 1e-12:
+        if lo < 0:
+            _fail("sweep.lo", "baseline request probabilities must be nonnegative")
+        if hi + dp > 1.0 + 1e-12:
             _fail("sweep.hi", "p0 grid must satisfy p0 + delta_p <= 1")
         if m is None:
             _fail("population.m", "p0 sweeps need a fixed m")
@@ -388,7 +390,9 @@ def _validate(spec: dict) -> Validate:
         _fail("validate.n_values", "expected positive integers")
     if max(nv) > MAX_POPULATION:
         _fail("validate.n_values", f"each value must be <= {MAX_POPULATION}")
-    populations = _get(spec, "populations", int, "validate", default=800, lo=1, hi=MAX_POPULATIONS)
+    populations = _get(
+        spec, "populations", int, "validate", default=Validate.populations, lo=1, hi=MAX_POPULATIONS
+    )
     return Validate(tuple(nv), populations)
 
 

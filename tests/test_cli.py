@@ -62,6 +62,17 @@ def test_threshold_utilization_regime(tmp_path, capsys):
     assert float(kv["tau_star"]) == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("m", [400, 800])  # rho = 1 and rho = 2
+def test_threshold_at_full_capacity_prints_a_finite_critical_baseline(tmp_path, capsys, m):
+    scn = _scenario(tmp_path, population={"n": 400, "m": m})
+    code, out = _run(capsys, "threshold", "--scenario", str(scn))
+    assert code == 0
+    kv = _parse_kv(out.splitlines()[0])
+    assert float(kv["tau_c"]) == 0.0
+    assert float(kv["p0_critical"]) == 0.5  # 1 - delta_p: the score-optimal threshold never binds
+    assert kv["regime"] == "utilization-bound"
+
+
 def test_simulate_deterministic_and_worker_invariant(tmp_path, capsys):
     scn = _scenario(tmp_path)
     code1, out1 = _run(capsys, "simulate", "--scenario", str(scn))

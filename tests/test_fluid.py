@@ -244,6 +244,18 @@ def test_critical_baseline_boundary(uniform_perfect):
     assert fl.critical_baseline(0.99, uniform_perfect, 0.6) == pytest.approx(0.4)
 
 
+def test_critical_baseline_is_finite_at_any_capacity(uniform_perfect, mixture_noisy):
+    for model in (uniform_perfect, mixture_noisy, _corpus_2000()):
+        # rho >= 1: capacity covers everyone who could request, so it never binds
+        for rho in (1.0, 2.0):
+            assert fl.critical_baseline(rho, model, 0.5) == 0.5
+        # delta_p = 1 leaves p0 = 0 as the only baseline
+        assert fl.critical_baseline(0.2, model, 1.0) == 0.0
+    for rho, dp in ((0.0, 0.5), (math.nan, 0.5), (0.2, 0.0), (0.2, 1.5)):
+        with pytest.raises(ValueError):
+            fl.critical_baseline(rho, uniform_perfect, dp)
+
+
 def test_critical_baseline_self_consistency(mixture_perfect):
     p0_bar = fl.critical_baseline(0.2, mixture_perfect, 0.5)
     params = fl.BehavioralParams(p0_bar, 0.5)
@@ -646,6 +658,35 @@ def _corpus_2000():
     true = rng.beta(2.0, 5.0, 2000)
     pred = np.clip(true + 0.15 * rng.standard_normal(2000), 0.0, 1.0)
     return sm.EmpiricalJoint(np.round(pred, 3), true, tie_seed=4)
+
+
+def test_objective_grid_is_bitwise_the_scalar_objective():
+    taus = np.array([0.0, 0.25, 0.5, 0.7101, 0.9, 0.99999, 1.0])
+    # (p0, m) per row at n = 100: p0 = 0 serves no one at tau = 1, m = 0 no one at all
+    rows = [(0.1, 20.0), (0.0, 20.0), (0.3, 5.0), (0.45, 0.0), (0.2, 1000.0)]
+    n, dp = 100, 0.5
+    p0 = np.array([[p] for p, _ in rows])
+    m = np.array([[mm] for _, mm in rows])
+    models = {**_sweep_models(), "corpus_2000": _corpus_2000}
+    for name, make in sorted(models.items()):
+        grid_model, scalar_model = make(), make()
+        cma = sm.conditional_mean_above_grid(grid_model, taus)
+        got = fl._objective_grid(taus, cma, sm.mean_true_score(grid_model), n, m, p0, dp)
+        assert got.shape == (len(rows), taus.size)
+        raised = []
+        for (p, mm), row in zip(rows, got.tolist()):
+            for tau, w in zip(taus.tolist(), row):
+                try:
+                    want = fl.fluid_objective(tau, scalar_model, n, mm, fl.BehavioralParams(p, dp))
+                except ValueError as e:
+                    assert str(e) == "empty tail" and math.isnan(w), (name, p, mm, tau)
+                    raised.append((p, mm, tau))
+                    continue
+                assert w.hex() == want.hex(), (name, p, mm, tau)
+                if (p == 0.0 and tau == 1.0) or mm == 0.0:
+                    assert w == 0.0
+        # only the corpus has an empty tail, at tau = 0.99999 in every row that serves anyone
+        assert raised == ([(p, mm, 0.99999) for p, mm in rows if mm > 0.0] if name == "corpus_2000" else [])
 
 
 def test_gap_curve_rows_bitwise_the_point_by_point_evaluation():

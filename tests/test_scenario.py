@@ -192,6 +192,18 @@ def test_sweep_axis_exclusivity(tmp_path):
         sio.load_scenario(_write(tmp_path, doc2))
 
 
+def test_p0_sweep_bounds_name_their_own_field(tmp_path):
+    doc = json.loads(json.dumps(FIG5_BLOCK))
+    doc["sweep"].update(lo=-0.1, hi=0.3)
+    with pytest.raises(sio.ScenarioError) as info:
+        sio.load_scenario(_write(tmp_path, doc))
+    assert str(info.value) == "sweep.lo: baseline request probabilities must be nonnegative"
+    doc["sweep"].update(lo=0.0, hi=0.6)
+    with pytest.raises(sio.ScenarioError) as info:
+        sio.load_scenario(_write(tmp_path, doc))
+    assert str(info.value) == "sweep.hi: p0 grid must satisfy p0 + delta_p <= 1"
+
+
 def test_parse_error_carries_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "version": 1,\n  oops\n}', encoding="utf-8")
