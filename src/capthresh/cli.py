@@ -20,7 +20,6 @@ written via write-then-rename, so failures leave no partial outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -63,16 +62,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(scn: sio.Scenario, args) -> sio.Scenario:
-    given = {
-        "seed": args.seed, "trials": args.trials, "output_prefix": args.out,
-        "beta1": None if args.beta1 is None else [args.beta1],
-    }
-    return dataclasses.replace(
-        scn, **{k: sio.check_field(k, v) for k, v in given.items() if v is not None}
-    )
-
-
 def _require_point(scn: sio.Scenario) -> tuple[int, int]:
     if scn.m is None:
         raise ScenarioError("population.m: this subcommand needs a single operating point")
@@ -83,6 +72,11 @@ def _require_one_beta1(scn: sio.Scenario) -> float:
     if len(scn.beta1) > 1:
         raise ScenarioError(f"beta1: this subcommand runs one allocation mix, got {len(scn.beta1)}")
     return scn.beta1[0]
+
+
+def _require_nudge(scn: sio.Scenario) -> None:
+    if scn.behavioral.delta_p == 0:
+        raise ScenarioError("behavioral.delta_p: must be > 0 to define the score-optimal threshold")
 
 
 def _require_prefix(scn: sio.Scenario) -> str:
@@ -99,6 +93,7 @@ def _require_prefix(scn: sio.Scenario) -> str:
 
 def _cmd_threshold(scn: sio.Scenario, args) -> int:
     n, m = _require_point(scn)
+    _require_nudge(scn)
     rho = m / n
     model = scn.model.build()
     params = scn.behavioral
@@ -117,6 +112,7 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
     if sweep is None:
         raise ScenarioError("sweep: this subcommand needs a sweep block")
     prefix = _require_prefix(scn)
+    _require_nudge(scn)
     model = scn.model.build()
     params = scn.behavioral
     policies = scn.policies
@@ -155,9 +151,11 @@ def _cmd_sweep(scn: sio.Scenario, args) -> int:
 
 def _cmd_simulate(scn: sio.Scenario, args) -> int:
     n, m = _require_point(scn)
+    policies = scn.policies
+    if any(p.needs_score_optimal for p in policies):
+        _require_nudge(scn)
     model = scn.model.build()
     params = scn.behavioral
-    policies = scn.policies
     taus = [p.threshold(m / n, model, params) for p in policies]
     # all policies of one beta1 share one set of draws
     by_beta1 = [
@@ -185,6 +183,7 @@ def _cmd_opauc(scn: sio.Scenario, args) -> int:
     if mu is None:
         raise ScenarioError("mu: this subcommand needs a capacity distribution")
     prefix = _require_prefix(scn)
+    _require_nudge(scn)
     params = scn.behavioral
     specs = scn.candidates or (("model", scn.model),)
     cands = [metrics.AlgorithmCandidate(name, spec.build()) for name, spec in specs]
@@ -200,6 +199,7 @@ def _cmd_opauc(scn: sio.Scenario, args) -> int:
 def _cmd_validate(scn: sio.Scenario, args) -> int:
     n0, m0 = _require_point(scn)
     prefix = _require_prefix(scn)
+    _require_nudge(scn)
     model = scn.model.build()
     params = scn.behavioral
     rho = m0 / n0
@@ -269,7 +269,9 @@ def execute(argv) -> int:
     if args.workers < 1:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     try:
-        scn = _apply_overrides(sio.load_scenario(args.scenario), args)
+        flags = {"seed": args.seed, "trials": args.trials, "output_prefix": args.out,
+                 "beta1": None if args.beta1 is None else [args.beta1]}
+        scn = sio.load_scenario(args.scenario, {k: v for k, v in flags.items() if v is not None})
         return _COMMANDS[args.command](scn, args)
     except ScenarioError as e:
         print(f"capthresh: scenario error: {e}", file=sys.stderr)

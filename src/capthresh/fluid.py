@@ -22,6 +22,8 @@ Thresholds implemented here:
 Everything is a pure function of immutable inputs.  The objective has one
 array form, ``_objective_grid``, with the elementwise arithmetic of the scalar
 ``fluid_objective``; the grid oracle and every sweep evaluate W through it.
+Both roots, the score-optimal threshold and the critical baseline, come from
+one root-finder, ``_bisect``, which halves any number of intervals in lockstep.
 A sweep is solved as a whole rather than point by point: the score-optimal
 thresholds of all its p0 values in one lockstep bisection, and both
 objectives of every point from one grid of tail means and one
@@ -80,11 +82,13 @@ class ThresholdPolicy:
     (``float`` or ``int``; a default makes a key optional), names the
     offending field first in any ``__post_init__`` error, and implements
     ``threshold(rho, model, params)``, its concrete tau at capacity ratio
-    rho.  The scenario parser finds it by ``kind`` among
+    rho, setting ``needs_score_optimal`` if that needs delta_p > 0.  The
+    scenario parser finds it by ``kind`` among
     ``ThresholdPolicy.__subclasses__()``.
     """
 
     kind: ClassVar[str]
+    needs_score_optimal: ClassVar[bool] = False
 
     @property
     def label(self) -> str:
@@ -122,6 +126,7 @@ class CapacityMatching(ThresholdPolicy):
 @dataclass(frozen=True)
 class ScoreOptimal(ThresholdPolicy):
     kind = "score_optimal"
+    needs_score_optimal = True
 
     def threshold(self, rho, model, params):
         return score_optimal_threshold(model, params)
@@ -130,6 +135,7 @@ class ScoreOptimal(ThresholdPolicy):
 @dataclass(frozen=True)
 class TwoPointOptimal(ThresholdPolicy):
     kind = "two_point"
+    needs_score_optimal = True
 
     def threshold(self, rho, model, params):
         return two_point_threshold(rho, model, params)
@@ -311,9 +317,9 @@ def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> 
     """Bisection on H for every p0 at once, clamped to 0 where H(0) <= 0 and
     to 1 where H(1) >= 0.
 
-    Every interval starts at [0, 1] and halves in step, so all share one
-    dyadic width, run the same number of steps and visit the midpoints of
-    their own single-point bisection.  Each step is one grid evaluation of H.
+    Every interval starts at [0, 1], so all share one dyadic width, run the
+    same number of steps and visit the midpoints of their own single-point
+    bisection.  Each step is one grid evaluation of H.
     """
     ratio = np.array(p0s) / delta_p
     tau = np.empty(ratio.size)
@@ -327,15 +333,19 @@ def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> 
     if rest.size:
         ratio = ratio[rest]
         lo, hi = np.zeros(rest.size), np.ones(rest.size)
-        width = 1.0  # hi - lo of every interval
-        while width > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            up = _foc_grid(model, ratio, mid) > 0.0
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-            width *= 0.5
-        tau[rest] = 0.5 * (lo + hi)
+        tau[rest] = _bisect(lambda mid: _foc_grid(model, ratio, mid) > 0.0, lo, hi, BISECT_TOL)
     return tau.tolist()
+
+
+def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Midpoints of intervals [lo, hi] halved in lockstep until the widest is
+    at most tol, each keeping its upper half where ``up(mid)`` holds."""
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        go_up = up(mid)
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _empirical_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
@@ -392,44 +402,34 @@ def two_point_threshold(rho: float, model: JointScoreModel, params: BehavioralPa
 def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> float:
     """Smallest p0 at which the score-optimal threshold starts to bind.
 
-    The score-optimal threshold binds when tau_score(p0) <= tau_c(p0).  For
-    analytic models one bisection over p0 tests the sign of the first-order
-    condition at the capacity-matching threshold: H(.; p0) is strictly
-    decreasing in tau, so H(tau_c(p0); p0) > 0 exactly when tau_score(p0) >
-    tau_c(p0), and no score-optimal solve is needed.  Empirical corpora,
-    whose score-optimal threshold is a grid argmax, bisect on the difference
-    tau_score(p0) - tau_c(p0) itself.  Returns 0 if the score-optimal
-    threshold already binds at p0 = 0 and 1 - delta_p if it never binds, as
-    at rho >= 1, where capacity covers everyone who could request.
+    The score-optimal threshold binds when tau_score(p0) <= tau_c(p0).  One
+    ``_bisect`` over p0 in [0, 1 - delta_p] tests, for analytic models, the
+    sign of the first-order condition at the capacity-matching threshold:
+    H(.; p0) is strictly decreasing in tau, so H(tau_c(p0); p0) > 0 exactly
+    when tau_score(p0) > tau_c(p0), and no score-optimal solve is needed.
+    Empirical corpora, whose score-optimal threshold is a grid argmax,
+    compare tau_score(p0) with tau_c(p0) itself.  Returns 0 if the threshold
+    already binds at p0 = 0 and 1 - delta_p if it never binds, as at
+    rho >= 1, where capacity covers everyone who could request.
     """
     if not rho > 0.0:
         raise ValueError("rho must be positive")
     if not 0.0 < delta_p <= 1.0:
         raise ValueError("delta_p must be in (0, 1]")
     p_max = 1.0 - delta_p
-    empirical = is_empirical(model)
 
-    def unbound(p0: float) -> bool:
-        params = BehavioralParams(p0, delta_p)
-        tau_c = capacity_matching_threshold(rho, params)
-        if empirical:
-            return score_optimal_threshold(model, params) > tau_c
-        if p0 == 0.0:
-            return tau_c < 1.0  # the score-optimal threshold is 1 at p0 = 0
-        return first_order_condition(model, params, tau_c) > 0.0
+    def unbound(p0: np.ndarray) -> np.ndarray:
+        tau_c = np.minimum(1.0, np.maximum(0.0, 1.0 - (rho - p0) / delta_p))  # capacity_matching_threshold
+        if is_empirical(model):
+            return np.array(_score_optimal_thresholds(model, p0.tolist(), delta_p)) > tau_c
+        return _foc_grid(model, p0 / delta_p, tau_c) > 0.0
 
-    if not unbound(0.0):
+    # tau_score(0) = 1, so it binds at p0 = 0 exactly where tau_c(0) rounds to 1
+    if p_max == 0.0 or 1.0 - rho / delta_p >= 1.0:
         return 0.0
-    if unbound(p_max):
+    if unbound(np.array([p_max]))[0]:
         return p_max
-    lo, hi = 0.0, p_max
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if unbound(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_bisect(unbound, np.zeros(1), np.array([p_max]), 1e-9)[0])
 
 
 def max_relative_gap_capacity_matching(

@@ -43,6 +43,7 @@ from .score_model import (
     Perfect,
     Predictor,
     Uniform01,
+    mean_true_score,
 )
 
 SCHEMA_VERSION = 1
@@ -110,23 +111,6 @@ def _nonempty(val, path: str) -> list:
     return val
 
 
-# Top-level fields a CLI flag can override; the loader checks them the same way.
-_FIELD_CHECKS = {
-    "seed": lambda v: _check(v, int, "scenario.seed", lo=0),
-    "trials": lambda v: _check(v, int, "scenario.trials", lo=1, hi=MAX_TRIALS),
-    "beta1": lambda v: tuple(
-        _check(b, float, f"beta1[{i}]", lo=0.0, hi=1.0)
-        for i, b in enumerate(_nonempty(v, "scenario.beta1"))
-    ),
-    "output_prefix": lambda v: _check(v, str, "scenario.output_prefix"),
-}
-
-
-def check_field(name: str, value):
-    """Check and type one overridable top-level field as load_scenario does."""
-    return _FIELD_CHECKS[name](value)
-
-
 # ---------------------------------------------------------------------------
 # The typed scenario
 # ---------------------------------------------------------------------------
@@ -137,7 +121,8 @@ class ModelSpec:
     """A checked model block; ``build`` makes the model where a command uses it.
 
     Analytic kinds carry their true-score law and predictor.  Empirical kinds
-    carry the corpus CSV, its mode and tie seed, and ``build`` reads the CSV.
+    carry the corpus CSV, its mode and tie seed, and ``build`` reads the CSV
+    and rejects a corpus whose true scores or outcomes are all 0.
     """
 
     true_scores: Uniform01 | BetaMixture | None = None
@@ -149,7 +134,11 @@ class ModelSpec:
     def build(self) -> JointScoreModel:
         if self.csv is None:
             return Analytic(self.true_scores, self.predictor)
-        return load_empirical_csv(self.csv, self.mode, self.tie_seed)
+        model = load_empirical_csv(self.csv, self.mode, self.tie_seed)
+        if mean_true_score(model) == 0.0:  # every threshold would plan and serve zero value
+            column = _HEADERS[self.mode].partition(",")[2]
+            raise ScenarioError(f"{self.csv.name}: every {column} is 0; a corpus needs positive mass")
+        return model
 
 
 @dataclass(frozen=True)
@@ -197,8 +186,13 @@ _TOP_KEYS = {
 }
 
 
-def load_scenario(path) -> Scenario:
-    """Read a scenario document and check and type it in one pass."""
+def load_scenario(path, overrides=None) -> Scenario:
+    """Read a scenario document and check and type it in one pass.
+
+    ``overrides`` (top-level keys, as the CLI flags give them) replace the
+    file's values before the check, so they are checked as file values are.
+    The file must still name its own seed.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -210,7 +204,9 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")
-    return _parse(doc, path.parent)
+    if "seed" not in doc:
+        _fail("scenario", "missing required key 'seed'")
+    return _parse({**doc, **(overrides or {})}, path.parent)
 
 
 def _parse(doc: dict, base_dir: Path) -> Scenario:
@@ -218,9 +214,7 @@ def _parse(doc: dict, base_dir: Path) -> Scenario:
     version = _get(doc, "version", int, "scenario")
     if version != SCHEMA_VERSION:
         _fail("scenario.version", f"unsupported version {version}")
-    if "seed" not in doc:
-        _fail("scenario", "missing required key 'seed'")
-    seed = check_field("seed", doc["seed"])
+    seed = _get(doc, "seed", int, "scenario", lo=0)
 
     beh = _keys(_get(doc, "behavioral", dict, "scenario"), {"p0", "delta_p"}, "behavioral")
     p0 = _get(beh, "p0", float, "behavioral", lo=0.0)
@@ -241,8 +235,9 @@ def _parse(doc: dict, base_dir: Path) -> Scenario:
 
     policies = _nonempty(doc.get("policies", [{"kind": "two_point"}]), "scenario.policies")
     policies = tuple(_policy(spec, f"policies[{i}]") for i, spec in enumerate(policies))
-    beta1 = check_field("beta1", doc.get("beta1", [0.0]))
-    trials = check_field("trials", doc.get("trials", DEFAULT_TRIALS))
+    beta1 = _nonempty(doc.get("beta1", [0.0]), "scenario.beta1")
+    beta1 = tuple(_check(b, float, f"beta1[{i}]", lo=0.0, hi=1.0) for i, b in enumerate(beta1))
+    trials = _get(doc, "trials", int, "scenario", default=DEFAULT_TRIALS, lo=1, hi=MAX_TRIALS)
     oracle_grid = _get(
         doc, "oracle_grid", int, "scenario", default=DEFAULT_ORACLE_GRID, lo=2, hi=MAX_GRID_POINTS
     )
@@ -265,9 +260,7 @@ def _parse(doc: dict, base_dir: Path) -> Scenario:
     validate = Validate()
     if "validate" in doc:
         validate = _validate(_get(doc, "validate", dict, "scenario"))
-    output_prefix = None
-    if "output_prefix" in doc:
-        output_prefix = check_field("output_prefix", doc["output_prefix"])
+    output_prefix = _get(doc, "output_prefix", str, "scenario", default=None)
 
     return Scenario(
         seed=seed, trials=trials, behavioral=BehavioralParams(p0, dp), n=n, m=m, sweep=sweep,

@@ -74,16 +74,19 @@ def _beta_gauss(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (t + 1.0), v[0] ** 2
 
 
-def flagged_count(n: int, tau: float) -> int:
-    """Number of records flagged at quantile threshold tau.
-
-    Equals ``n - ceil(tau * n)`` with a guard against float noise pushing
-    ``tau * n`` just above an integer.
+def flagged_counts(n: int, taus):
+    """Number of records flagged at each quantile threshold of a float array
+    in [0, 1] (or at one float): ``n - ceil(tau * n)``, with a guard against
+    float noise pushing ``tau * n`` just above an integer.
     """
+    return n - np.ceil(taus * n - 1e-9).astype(np.int64)
+
+
+def flagged_count(n: int, tau: float) -> int:
+    """flagged_counts at one tau, which must lie in [0, 1]."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    cut = math.ceil(tau * n - 1e-9)
-    return n - min(max(cut, 0), n)
+    return int(flagged_counts(n, tau))
 
 
 def _cdf_table(cdf_and_density, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -639,15 +642,11 @@ class _EmpiricalEngine(_Engine):
         self._pred_asc = predicted[self.desc_order][::-1]
         self._mean = float(values.mean())
 
-    def _cut(self, taus: np.ndarray) -> np.ndarray:
-        # ceil(tau * n) with the flagged_count guard; in [0, n] for tau in [0, 1]
-        return np.ceil(taus * self.n - 1e-9).astype(np.int64)
-
     def quantile_grid(self, taus: np.ndarray) -> np.ndarray:
-        return self._pred_asc[np.maximum(self._cut(taus), 1) - 1]
+        return self._pred_asc[np.maximum(self.n - flagged_counts(self.n, taus), 1) - 1]
 
     def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
-        k = self.n - self._cut(taus)
+        k = flagged_counts(self.n, taus)
         with np.errstate(invalid="ignore"):
             return self._top_sums[k] / k  # 0 / 0 = NaN where the tail is empty
 

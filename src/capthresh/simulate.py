@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand
-from .score_model import JointScoreModel, Population, _engine, flagged_count
+from .score_model import JointScoreModel, Population, _engine, _tau_grid, flagged_count, flagged_counts
 
 EXACT_BUDGET = 5000
 
@@ -271,7 +271,7 @@ def simulate_taus(
     trial resamples a cohort from the model.  Deterministic given
     ``config.seed`` and independent of ``workers``.
     """
-    ks = [flagged_count(config.n, float(t)) for t in taus]
+    ks = flagged_counts(config.n, _tau_grid(taus)).tolist()
     uniq = sorted(set(ks))
     if population is not None and population.n != config.n:
         raise ValueError("frozen population size must match config.n")

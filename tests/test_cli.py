@@ -14,7 +14,7 @@ from capthresh import simulate as sim
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
-def _scenario(tmp_path, **overrides):
+def _scenario(tmp_path, name="scn.json", **overrides):
     doc = {
         "version": 1,
         "seed": 7,
@@ -27,7 +27,7 @@ def _scenario(tmp_path, **overrides):
         "output_prefix": str(tmp_path / "out" / "run"),
     }
     doc.update(overrides)
-    path = tmp_path / "scn.json"
+    path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
@@ -454,10 +454,89 @@ def test_int_spelled_float_prints_as_float(tmp_path, capsys):
 
 
 def test_exit_code_runtime_error(tmp_path, capsys):
-    # delta_p = 0 makes the two-point threshold undefined at runtime
-    scn = _scenario(tmp_path, behavioral={"p0": 0.2, "delta_p": 0.0})
-    code, _ = _run(capsys, "threshold", "--scenario", str(scn))
-    assert code == 2
+    # a labeled corpus without negatives passes the loader, and its AUC is undefined
+    (tmp_path / "all_positive.csv").write_text("score,outcome\n0.2,1\n0.7,1\n0.9,1\n", encoding="utf-8")
+    model = {"kind": "empirical_labeled", "path": "all_positive.csv"}
+    scn = _scenario(tmp_path, model=model, mu={"kind": "atoms", "atoms": [[0.2, 1.0]]})
+    assert cli.main(["opauc", "--scenario", str(scn)]) == 2
+    assert "capthresh: error: AUC undefined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, policies",
+    [
+        ("threshold", None),
+        ("sweep", [{"kind": "fixed", "tau": 0.8}]),
+        ("opauc", None),
+        ("validate", None),
+        ("simulate", None),
+        ("simulate", [{"kind": "fixed", "tau": 0.8}, {"kind": "score_optimal"}]),
+    ],
+)
+def test_zero_nudge_exits_1_where_the_score_optimal_threshold_is_needed(tmp_path, capsys, command, policies):
+    # regression: each exited 2 with "nudge has no effect; score-optimal undefined"
+    extra = {"policies": policies} if policies else {}
+    if command == "sweep":
+        extra.update(population={"n": 400}, sweep={"axis": "rho", "lo": 0.1, "hi": 0.5, "points": 3})
+    scn = _scenario(
+        tmp_path, behavioral={"p0": 0.2, "delta_p": 0.0}, mu={"kind": "atoms", "atoms": [[0.2, 1.0]]},
+        validate={"n_values": [20], "populations": 5}, **extra,
+    )
+    assert cli.main([command, "--scenario", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "scenario error: behavioral.delta_p: must be > 0" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, policies",
+    [("oracle", None), ("simulate", [{"kind": "fixed", "tau": 0.8}, {"kind": "capacity_matching"}])],
+)
+def test_zero_nudge_runs_where_no_score_optimal_threshold_is_needed(tmp_path, capsys, command, policies):
+    extra = {"policies": policies} if policies else {}
+    scn = _scenario(tmp_path, behavioral={"p0": 0.2, "delta_p": 0.0}, trials=20, **extra)
+    code, out = _run(capsys, command, "--scenario", str(scn))
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "mode, rows",
+    [("labeled", "score,outcome\n0.2,0\n0.9,0\n"), ("joint", "score,true_score\n0.2,0\n0.9,0.0\n")],
+    ids=["labeled", "joint"],
+)
+def test_corpus_without_positive_mass_exits_1(tmp_path, capsys, mode, rows):
+    # regression: every subcommand planned and simulated zero value and exited 0
+    (tmp_path / "zeros.csv").write_text(rows, encoding="utf-8")
+    column = rows.split(",")[1].split("\n")[0]
+    model = {"kind": f"empirical_{mode}", "path": "zeros.csv"}
+    point = _scenario(tmp_path, model=model, mu={"kind": "atoms", "atoms": [[0.2, 1.0]]}, name="point.json")
+    sweep = {"axis": "rho", "lo": 0.1, "hi": 0.5, "points": 3}
+    rhos = _scenario(tmp_path, model=model, population={"n": 400}, sweep=sweep, name="rho.json")
+    for command in ("threshold", "simulate", "oracle", "validate", "opauc", "sweep"):
+        scn = rhos if command == "sweep" else point
+        assert cli.main([command, "--scenario", str(scn)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"scenario error: zeros.csv: every {column} is 0" in captured.err
+
+
+def test_flag_replaces_a_bad_file_value_unchecked(tmp_path, capsys):
+    # the flag is laid over the document before the check, so trials = 0 is never seen
+    scn = _scenario(tmp_path, trials=0)
+    assert cli.main(["simulate", "--scenario", str(scn)]) == 1
+    assert "scenario.trials: must be >= 1" in capsys.readouterr().err
+    code, out = _run(capsys, "simulate", "--scenario", str(scn), "--trials", "5")
+    assert code == 0 and " trials=5 " in out
+
+
+def test_seed_flag_needs_a_seed_in_the_file(tmp_path, capsys):
+    scn = _scenario(tmp_path)
+    doc = json.loads(scn.read_text(encoding="utf-8"))
+    del doc["seed"]
+    scn.write_text(json.dumps(doc), encoding="utf-8")
+    for extra in ([], ["--seed", "5"]):
+        assert cli.main(["simulate", "--scenario", str(scn), *extra]) == 1
+        assert "scenario: missing required key 'seed'" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path, cli_env):

@@ -305,19 +305,87 @@ def test_critical_baseline_matches_nested_bisection(
 def test_critical_baseline_one_level_of_root_finding(monkeypatch):
     model = sm.Analytic(sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))))
     calls = []
-    foc = fl.first_order_condition
+    foc_grid = fl._foc_grid
 
-    def counting_foc(*args):
+    def counting_foc_grid(*args):
         calls.append(args)
-        return foc(*args)
+        return foc_grid(*args)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("critical_baseline ran a score-optimal solve")
 
-    monkeypatch.setattr(fl, "first_order_condition", counting_foc)
-    monkeypatch.setattr(fl, "score_optimal_threshold", no_solve)
+    monkeypatch.setattr(fl, "_foc_grid", counting_foc_grid)
+    monkeypatch.setattr(fl, "_score_optimal_thresholds", no_solve)
     fl.critical_baseline(0.2, model, 0.5)
     assert 0 < len(calls) <= 40
+
+
+def _critical_baseline_scalar(rho, model, delta_p):
+    """Reference: one scalar bisection over p0, a BehavioralParams and one
+    first_order_condition (or, on corpora, one score-optimal solve) per step."""
+    p_max = 1.0 - delta_p
+    empirical = sm.is_empirical(model)
+
+    def unbound(p0):
+        params = fl.BehavioralParams(p0, delta_p)
+        tau_c = fl.capacity_matching_threshold(rho, params)
+        if empirical:
+            return fl.score_optimal_threshold(model, params) > tau_c
+        if p0 == 0.0:
+            return tau_c < 1.0
+        return fl.first_order_condition(model, params, tau_c) > 0.0
+
+    if not unbound(0.0):
+        return 0.0
+    if unbound(p_max):
+        return p_max
+    lo, hi = 0.0, p_max
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if unbound(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _labeled_2000():
+    rng = np.random.default_rng(32)
+    true = rng.beta(2.0, 5.0, 2000)
+    pred = np.clip(true + 0.15 * rng.standard_normal(2000), 0.0, 1.0)
+    return sm.EmpiricalLabeled(np.round(pred, 3), (rng.random(2000) < true).astype(float), tie_seed=4)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "uniform_perfect", "mixture_perfect", "mixture_noisy_0.1", "mixture_noisy_0.4",
+        "low_shapes_perfect", "corpus_joint", "corpus_labeled",
+    ],
+)
+def test_critical_baseline_bitwise_the_scalar_bisection(name):
+    make = {**_sweep_models(), "corpus_joint": _corpus_2000, "corpus_labeled": _labeled_2000}[name]
+    model, ref_model = make(), make()
+    # rho = 1e-17: tau_c(0) rounds to 1, so the threshold binds at p0 = 0
+    for rho in (0.05, 0.1, 0.2, 0.35, 0.6, 1.0, 1.5, 1e-17):
+        for dp in (0.2, 0.5, 0.9, 1.0):
+            got = fl.critical_baseline(rho, model, dp)
+            assert got.hex() == _critical_baseline_scalar(rho, ref_model, dp).hex(), (rho, dp)
+
+
+def test_bisect_halves_every_interval_in_lockstep():
+    # roots 0.3, 0.7 and (clamped) 1.0; each interval keeps its own upper half
+    roots = np.array([0.3, 0.7, 2.0])
+    lo, hi = np.array([0.0, 0.5, 0.0]), np.array([1.0, 1.0, 1.0])
+    steps = []
+
+    def up(mid):
+        steps.append(mid)
+        return mid < roots
+
+    got = fl._bisect(up, lo, hi, 1e-6)
+    assert len(steps) == 20  # the widest interval, width 1, sets the step count
+    assert np.all(np.abs(got - np.array([0.3, 0.7, 1.0])) <= 1e-6)
 
 
 # --- max relative gap ------------------------------------------------------------------

@@ -63,6 +63,22 @@ def test_minimal_scenario_defaults(tmp_path):
         scn.seed = 4
 
 
+def test_overrides_are_checked_as_file_values(tmp_path):
+    path = _write(tmp_path, dict(MINIMAL, trials=0, beta1=[]))
+    flags = {"seed": 9, "trials": 12, "beta1": [1], "output_prefix": "run"}
+    scn = sio.load_scenario(path, flags)
+    assert (scn.seed, scn.trials, scn.beta1, scn.output_prefix) == (9, 12, (1.0,), "run")
+    assert scn == sio.load_scenario(_write(tmp_path, dict(MINIMAL, **flags), "flags.json"))
+    for key, value, message in (
+        ("seed", -3, "scenario.seed: must be >= 0"),
+        ("trials", 0, "scenario.trials: must be >= 1"),
+        ("beta1", [float("nan")], "beta1\\[0\\]: must be finite"),
+        ("output_prefix", 5, "scenario.output_prefix: expected str"),
+    ):
+        with pytest.raises(sio.ScenarioError, match=f"^{message}$"):
+            sio.load_scenario(path, dict(flags, **{key: value}))
+
+
 def test_grid_oracle_policy_default_grid(tmp_path):
     doc = dict(MINIMAL, policies=[{"kind": "grid_oracle"}])
     scn = sio.load_scenario(_write(tmp_path, doc))
@@ -343,6 +359,17 @@ def test_load_bitwise_equals_per_row_float(tmp_path, mode):
     model = sio.load_empirical_csv(path, mode)
     for got, want in zip(_columns(model), _scan_reference(path)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["joint", "labeled"])
+def test_scenario_rejects_a_corpus_without_positive_mass(tmp_path, mode):
+    path = _corpus(tmp_path, mode, "0.2,0\n0.9,-0\n")
+    assert sm.mean_true_score(sio.load_empirical_csv(path, mode)) == 0.0  # the reader accepts it
+    doc = dict(MINIMAL, model={"kind": f"empirical_{mode}", "path": path.name})
+    spec = sio.load_scenario(_write(tmp_path, doc)).model
+    column = "true_score" if mode == "joint" else "outcome"
+    with pytest.raises(sio.ScenarioError, match=f"^{mode}.csv: every {column} is 0"):
+        spec.build()
 
 
 def test_scenario_tie_seed_reaches_the_sort(tmp_path):

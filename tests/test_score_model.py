@@ -628,6 +628,17 @@ def test_flagged_count_convention(n, tau):
     assert k == n - math.ceil(tau * n - 1e-9)
 
 
+def test_flagged_counts_match_the_scalar_rule():
+    taus = np.concatenate([np.linspace(0.0, 1.0, 1001), [2 / 3, 0.7, 0.29, 1 - 1e-12, 1e-12]])
+    for n in (1, 3, 7, 100, 1000, 20_000, 10**6):
+        want = [n - min(max(math.ceil(t * n - 1e-9), 0), n) for t in taus.tolist()]
+        assert sm.flagged_counts(n, taus).tolist() == want
+        assert [sm.flagged_count(n, t) for t in taus[::97].tolist()] == want[::97]
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=f"tau must be in \\[0, 1\\], got {bad}"):
+            sm.flagged_count(10, bad)
+
+
 def test_flagged_count_edges():
     assert sm.flagged_count(100, 0.0) == 100
     assert sm.flagged_count(100, 1.0) == 0

@@ -556,6 +556,17 @@ def test_empty_tau_list_draws_nothing(monkeypatch, uniform_perfect):
         sim.simulate_taus(cfg, [], uniform_perfect, population=_uniform_pop(40))
 
 
+def test_tau_outside_the_unit_interval_draws_nothing(monkeypatch, uniform_perfect):
+    def no_trials(*args):
+        raise AssertionError("no trial may run")
+
+    monkeypatch.setattr(sim, "_run_trials", no_trials)
+    cfg = sim.SimConfig(n=50, m=10, params=P, trials=5, seed=4)
+    for taus in ([0.5, 1.5], [-0.1], [math.nan]):
+        with pytest.raises(ValueError, match=r"taus must lie in \[0, 1\]"):
+            sim.simulate_taus(cfg, taus, uniform_perfect)
+
+
 def test_grid_oracle_worker_independent(mixture_noisy):
     cfg = sim.SimConfig(n=300, m=60, params=P, beta1=0.5, trials=40, seed=17)
     assert sim.grid_oracle(cfg, mixture_noisy, 11) == sim.grid_oracle(

@@ -5,7 +5,7 @@
 For each checkout ROOT (default: the one holding this script) it runs, with
 ``ROOT/src`` first on PYTHONPATH and ROOT as the working directory:
 
-* the seven demo CLI runs, ``python -m capthresh <command> --scenario
+* the eight demo CLI runs, ``python -m capthresh <command> --scenario
   demos/scenarios/<scenario>.json``;
 * the five demo scripts, ``python demos/0*.py``;
 
@@ -41,6 +41,7 @@ HERE = Path(__file__).resolve().parent.parent
 WORK = Path(tempfile.gettempdir()) / "capthresh-output-md5"  # one directory, so printed paths agree
 CLI_RUNS = [
     ("threshold", "operating_point"),
+    ("threshold", "noisy_point"),
     ("simulate", "operating_point"),
     ("oracle", "operating_point"),
     ("sweep", "rho_sweep"),
