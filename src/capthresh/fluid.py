@@ -424,7 +424,7 @@ def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> flo
             return np.array(_score_optimal_thresholds(model, p0.tolist(), delta_p)) > tau_c
         return _foc_grid(model, p0 / delta_p, tau_c) > 0.0
 
-    # tau_score(0) = 1, so it binds at p0 = 0 exactly where tau_c(0) rounds to 1
+    # tau_score(0) = 1 binds exactly where tau_c(0) rounds to 1; delta_p = 1 leaves only p0 = 0
     if p_max == 0.0 or 1.0 - rho / delta_p >= 1.0:
         return 0.0
     if unbound(np.array([p_max]))[0]:
