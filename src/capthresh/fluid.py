@@ -28,8 +28,9 @@ A sweep is solved as a whole rather than point by point: the score-optimal
 thresholds of all its p0 values in one lockstep bisection, and both
 objectives of every point from one grid of tail means and one
 ``_objective_grid`` call.  Each result is bitwise the single-point one,
-whatever else the sweep holds and in whatever order.  An invalid p0 is
-solved along with the rest and raises at its own point of the sweep.
+whatever else the sweep holds and in whatever order.  Every point is checked,
+and its thresholds found, before any objective is evaluated, so an invalid
+point raises before any other work.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class GridOracle(ThresholdPolicy):
         Every grid value is bitwise the scalar one.  Grid points below 1 with
         an empty tail are skipped.
         """
-        if rho < 0:
+        if not rho >= 0:
             raise ValueError("m must be nonnegative")
         taus = np.linspace(0.0, 1.0, self.grid_size)
         cma = conditional_mean_above_grid(model, taus)
@@ -188,7 +189,7 @@ class GapPoint:
 
 def capacity_matching_threshold(rho: float, params: BehavioralParams) -> float:
     """Threshold at which expected requests equal capacity n*rho."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     if params.delta_p == 0:
         return 1.0 if rho <= params.p0 else 0.0
@@ -202,9 +203,9 @@ def fluid_demand(tau: float, n: float, params: BehavioralParams) -> float:
 
 def fluid_served(tau: float, n: float, m: float, params: BehavioralParams) -> float:
     """Expected served requests: demand capped at capacity."""
-    if m < 0:
+    if not m >= 0:
         raise ValueError("m must be nonnegative")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be >= 1")
     return min(fluid_demand(tau, n, params), m)
 
@@ -325,11 +326,11 @@ def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> 
     tau = np.empty(ratio.size)
     h0 = _foc_grid(model, ratio, np.zeros(ratio.size))
     tau[h0 <= 0.0] = 0.0
-    rest = np.flatnonzero(~(h0 <= 0.0))  # not h0 > 0: a NaN goes on, as past a scalar `if h <= 0`
+    rest = np.flatnonzero(h0 > 0.0)
     if rest.size:
         h1 = _foc_grid(model, ratio[rest], np.ones(rest.size))
         tau[rest[h1 >= 0.0]] = 1.0
-        rest = rest[~(h1 >= 0.0)]
+        rest = rest[h1 < 0.0]
     if rest.size:
         ratio = ratio[rest]
         lo, hi = np.zeros(rest.size), np.ones(rest.size)
@@ -389,10 +390,8 @@ def _grid_argmax(taus: np.ndarray, values: np.ndarray) -> float:
 
 def two_point_threshold(rho: float, model: JointScoreModel, params: BehavioralParams) -> float:
     """min(score-optimal, capacity-matching): the fluid-optimal threshold."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
-    if params.delta_p == 0:
-        raise ValueError("nudge has no effect; score-optimal undefined")
     return min(
         score_optimal_threshold(model, params),
         capacity_matching_threshold(rho, params),
@@ -473,57 +472,33 @@ def gap_curve(
 
     The sweep is solved as a whole: a p0 sweep's score-optimal thresholds in
     one lockstep bisection, then every objective from one grid of tail means
-    and one ``_objective_grid`` call.
-    Each value is bitwise the one a point-by-point evaluation gives, and the
-    error raised is the one the first failing point raises there.
+    and one ``_objective_grid`` call.  Each value is bitwise the one a
+    point-by-point evaluation gives.  Every point is checked, and its
+    thresholds found, before any objective is evaluated.
     """
     if axis not in ("rho", "p0"):
         raise ValueError("axis must be 'rho' or 'p0'")
     if axis == "p0" and rho is None:
         raise ValueError("p0 sweeps need a fixed rho")
+    if not n >= 1:
+        raise ValueError("n must be >= 1")
     xs = [float(x) for x in grid]
-    if axis == "p0" and params.delta_p != 0 and rho > 0:
-        reached = []  # the p0 values the loop below reaches: those before the first invalid one
-        for x in xs:
-            try:
-                reached.append(BehavioralParams(x, params.delta_p).p0)
-            except ValueError:
-                break
-        _score_optimal_thresholds(model, reached, params.delta_p)
-    # thresholds point by point; a point that raises stops the sweep, and its
-    # error is raised once the points before it are evaluated
-    plans, failure = [], None
-    try:
-        for x in xs:
-            if axis == "rho":
-                pt_rho, pt_params = x, params
-            else:
-                pt_rho, pt_params = rho, BehavioralParams(x, params.delta_p)
-            plan = [x, pt_rho, pt_params, two_point_threshold(pt_rho, model, pt_params)]
-            plans.append(plan)
-            plan.append(policy.threshold(pt_rho, model, pt_params))
-    except Exception as exc:
-        failure = exc
-    # both objectives of every point from one grid of tail means; a point whose
-    # policy raised repeats tau_star in its unused policy column
-    cols = np.array([(plan[1] * n, plan[2].p0, plan[3], plan[-1]) for plan in plans]).reshape(-1, 4)
-    m, p0, taus = cols[:, :1], cols[:, 1:2], cols[:, 2:]
-    inside = (taus >= 0.0) & (taus <= 1.0)
-    cma = np.full(taus.shape, math.nan)
-    cma[inside] = conditional_mean_above_grid(model, taus[inside])
-    values = _objective_grid(taus, cma, mean_true_score(model), n, m, p0, params.delta_p)
-    if n < 1:  # fluid_served rejects it, so every cell goes to the scalar call
-        values.fill(math.nan)
+    if axis == "rho":
+        setups = [(x, params) for x in xs]
+    else:
+        setups = [(rho, BehavioralParams(x, params.delta_p)) for x in xs]
+        if rho > 0:  # one lockstep solve of every p0; the thresholds below read its cache
+            _score_optimal_thresholds(model, xs, params.delta_p)
+    plans = [(two_point_threshold(r, model, p), policy.threshold(r, model, p)) for r, p in setups]
+    # both objectives of every point from one grid of tail means
+    taus = np.array(plans).reshape(-1, 2)
+    cols = np.array([(r * n, p.p0) for r, p in setups]).reshape(-1, 2)
+    cma = conditional_mean_above_grid(model, taus.ravel()).reshape(taus.shape)
+    values = _objective_grid(taus, cma, mean_true_score(model), n, cols[:, :1], cols[:, 1:], params.delta_p)
     points = []
-    for (x, pt_rho, pt_params, tau_star, *tau_pol), (w_star, w_pol) in zip(plans, values.tolist()):
-        # a NaN cell goes to the scalar call, which raises its own error
-        if math.isnan(w_star):
-            w_star = fluid_objective(tau_star, model, n, pt_rho * n, pt_params)
-        if not tau_pol:  # the policy raised at this point
-            break
-        tau_pol = tau_pol[0]
-        if math.isnan(w_pol):
-            w_pol = fluid_objective(tau_pol, model, n, pt_rho * n, pt_params)
+    for x, (tau_star, tau_pol), (w_star, w_pol) in zip(xs, plans, values.tolist()):
+        if math.isnan(w_star) or math.isnan(w_pol):  # a threshold in an empty tail
+            raise ValueError("empty tail")
         gap = w_star - w_pol
         if gap < -1e-7 * max(1.0, abs(w_star)):
             raise AssertionError(
@@ -542,6 +517,4 @@ def gap_curve(
                 rel_gap=rel,
             )
         )
-    if failure is not None:
-        raise failure
     return points

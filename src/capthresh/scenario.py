@@ -323,6 +323,8 @@ def _sweep(spec: dict, n: int, m: int | None, dp: float) -> Sweep:
             _fail("sweep.lo", "capacity ratios must be positive")
         if simulate and int(round(lo * n)) == 0:
             _fail("sweep.lo", f"rho={lo} leaves no capacity to simulate at n={n}")
+        if simulate and not math.isfinite(hi * n):
+            _fail("sweep.hi", f"rho={hi} gives an infinite capacity to simulate at n={n}")
         if m is not None:
             _fail("population.m", "fix m or sweep rho, not both")
     else:

@@ -402,6 +402,14 @@ def test_rho_sweep_simulating_zero_capacity_exits_1(tmp_path, capsys):
     assert "sweep.lo: rho=0.001 leaves no capacity" in capsys.readouterr().err
 
 
+def test_rho_sweep_simulating_infinite_capacity_exits_1(tmp_path, capsys):
+    # 1e306 * 1000 slots overflows to infinity at the last grid point
+    sweep = {"axis": "rho", "lo": 0.1, "hi": 1e306, "points": 3, "simulate": True}
+    scn = _scenario(tmp_path, population={"n": 1000}, sweep=sweep)
+    assert cli.main(["sweep", "--scenario", str(scn)]) == 1
+    assert "sweep.hi: rho=1e+306 gives an infinite capacity" in capsys.readouterr().err
+
+
 def test_oracle_with_two_beta1_entries_exits_1(tmp_path, capsys):
     scn = _scenario(tmp_path, beta1=[0.0, 1.0])
     assert cli.main(["oracle", "--scenario", str(scn)]) == 1

@@ -556,6 +556,29 @@ def test_two_point_requires_positive_inputs(uniform_perfect):
         fl.two_point_threshold(0.2, uniform_perfect, fl.BehavioralParams(0.2, 0.0))
 
 
+_U = sm.Analytic(sm.Uniform01())
+_NAN_CASES = {
+    "two_point_rho": (lambda: fl.two_point_threshold(math.nan, _U, P), "rho must be positive"),
+    "capacity_matching_rho": (lambda: fl.capacity_matching_threshold(math.nan, P), "rho must be nonnegative"),
+    "grid_oracle_rho": (lambda: fl.GridOracle(11).threshold(math.nan, _U, P), "m must be nonnegative"),
+    "served_m": (lambda: fl.fluid_served(0.8, 100, math.nan, P), "m must be nonnegative"),
+    "served_n": (lambda: fl.fluid_served(0.8, math.nan, 20, P), "n must be >= 1"),
+    "objective_m": (lambda: fl.fluid_objective(0.8, _U, 100, math.nan, P), "m must be nonnegative"),
+    "objective_n": (lambda: fl.fluid_objective(0.8, _U, math.nan, 20, P), "n must be >= 1"),
+    "gap_curve_rho": (
+        lambda: fl.gap_curve(fl.Fixed(0.8), axis="rho", grid=[0.2, math.nan], model=_U, params=P, n=1000),
+        "rho must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_CASES))
+def test_fluid_entry_points_reject_nan(case):
+    call, message = _NAN_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- batched sweeps ----------------------------------------------------------------------
 
 
@@ -669,12 +692,13 @@ def test_batched_score_optimal_uses_the_cache():
 
 @pytest.mark.parametrize("bad", [math.nan, -0.5, 0.7])
 def test_gap_curve_caches_only_the_p0_values_it_reaches(bad):
-    # an invalid p0 stops the sweep, so neither it nor a p0 after it is solved
+    # an invalid p0 stops the sweep before any score-optimal solve, so
+    # neither it nor any other p0 of the sweep is solved
     model = _sweep_models()["mixture_perfect"]()
     for _ in range(3):
         with pytest.raises(ValueError):
             fl.gap_curve(fl.Fixed(0.8), axis="p0", grid=[0.1, 0.2, bad, 0.3], model=model, params=P, rho=0.2)
-    assert sorted(fl._SCORE_OPT_CACHE[model]) == [(0.1, 0.5), (0.2, 0.5)]
+    assert model not in fl._SCORE_OPT_CACHE
 
 
 def test_first_order_condition_is_bitwise_the_reference():
@@ -838,8 +862,8 @@ def test_gap_curve_errors_match_the_point_by_point_evaluation():
         # an invalid p0 after valid points
         (fl.Fixed(0.8), _sweep_models()["mixture_noisy_0.1"],
          dict(axis="p0", grid=[0.1, 0.2, 0.7, 0.3], params=P, rho=0.2)),
-        # a NaN p0 and a negative p0 in the middle of a p0 sweep, which the
-        # sweep's lockstep score-optimal solve receives with the valid ones
+        # a NaN p0 and a negative p0 in the middle of a p0 sweep, which stop
+        # the sweep before its lockstep score-optimal solve
         (fl.TwoPointOptimal(), _sweep_models()["mixture_perfect"],
          dict(axis="p0", grid=[0.1, math.nan, 0.3], params=P, rho=0.2)),
         (fl.TwoPointOptimal(), _sweep_models()["mixture_noisy_0.1"],
@@ -857,3 +881,18 @@ def test_gap_curve_errors_match_the_point_by_point_evaluation():
     kind, message = _error(fl.gap_curve, policy=fl.GridOracle(2001), model=joint(), **beaten)
     assert kind is AssertionError and message.startswith("two-point threshold beaten at rho=0.25:")
     assert _error(fl.gap_curve, policy=fl.Fixed(0.9999), model=joint(), **empty_tail) == (ValueError, "empty tail")
+
+
+def test_gap_curve_checks_every_point_before_evaluating_any():
+    # the grid oracle beats the two-point rule at rho = 0.25 (see above), but
+    # that is found only when evaluating; the invalid rho = 0.0 is found first
+    joint = _oracle_models()["joint_500"]()
+    with pytest.raises(ValueError, match="rho must be positive"):
+        fl.gap_curve(fl.GridOracle(2001), axis="rho", grid=[0.25, 0.0], model=joint, params=P)
+
+
+def test_gap_curve_empty_grid_still_checks_n():
+    model = _sweep_models()["uniform_perfect"]()
+    assert fl.gap_curve(fl.Fixed(0.8), axis="rho", grid=[], model=model, params=P, n=1000) == []
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        fl.gap_curve(fl.Fixed(0.8), axis="rho", grid=[], model=model, params=P, n=0.5)
