@@ -276,7 +276,7 @@ def _predictor(spec, path: str) -> Predictor:
         return Perfect()
     if kind == "gaussian_clipped":
         _keys(spec, {"kind", "sigma"}, path)
-        return GaussianNoiseClipped(_get(spec, "sigma", float, path, lo=0.0))
+        return GaussianNoiseClipped(_get(spec, "sigma", float, path, lo=0.0, hi=1e3))
     _fail(f"{path}.kind", f"unknown predictor kind '{kind}'")
 
 

@@ -11,9 +11,9 @@ Model kinds:
 * :class:`Analytic` -- a continuous true-score law (:class:`Uniform01` or a
   :class:`BetaMixture`) observed either perfectly or through clipped Gaussian
   noise.  Perfect predictors use the law's closed-form cdf and partial first
-  moment; noisy ones integrate closed-form normal tails against the
-  true-score law by a Gauss rule built for each beta component.  Either way
-  there is no sampling noise, and quantiles are safeguarded Newton solves.
+  moment; noisy ones sum normal tails, or the normal kernel for a point mean,
+  over a Gauss rule built for each beta component.  Either way there is no
+  sampling noise, and quantiles are safeguarded Newton solves.
 * :class:`EmpiricalJoint` / :class:`EmpiricalLabeled` -- finite corpora of
   (predicted, true) or (predicted, outcome) records.  Conditional means are
   tail averages under the order-statistic quantile convention below.
@@ -34,11 +34,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.special import betainc, betaincc, betaln, ndtr, xlog1py, xlogy
-
-# Step for the central finite difference behind conditional_mean_at on noisy
-# analytic models.  Quadrature noise is ~1e-13, so truncation dominates and
-# the derivative is good to ~1e-8.
-_FD_STEP = 1e-4
 
 # Quantile solves start from interpolation in a cdf table on evenly spaced
 # points of [0, 1].  A closed-form cdf makes a fine table cheap, and most
@@ -501,16 +496,16 @@ def _normal_kernel(z: np.ndarray) -> np.ndarray:
 class _NoisyEngine(_AnalyticEngine):
     """r_hat = clip(r + eps, 0, 1) with eps ~ Normal(0, sigma^2).
 
-    All quantities are integrals of closed-form normal tails against the
-    true-score law on the Gauss rule of each beta component, scaled by its
-    weight, so no density is evaluated and shapes below 1 lose no mass;
-    clipping shows up as atoms at 0 and 1 split fractionally, matching the
-    top-(1-tau) flagging rule.  ceil(3 / sigma) nodes resolve the kernel down
-    to sigma ~ 0.003, where the cap _MAX_NODES binds.  Below that the kernel is
-    narrower than the node spacing and the rule degrades: at sigma = 1e-4 a
-    cdf is off by up to 1.8e-4, and at sigma = 1e-7 the demo mixture's
-    score-optimal threshold comes out as 1.0.  The rule is built on first use,
-    not by sampling.
+    All quantities are sums over the Gauss rule of each beta component,
+    scaled by its weight, of closed-form normal tails (or, for the
+    density-point mean, the normal kernel), so no density is evaluated and
+    shapes below 1 lose no mass; clipping shows up as atoms at 0 and 1 split
+    fractionally, matching the top-(1-tau) flagging rule.  ceil(3 / sigma)
+    nodes resolve the kernel down to sigma ~ 0.003, where the cap _MAX_NODES
+    binds.  Below that the kernel is narrower than the node spacing and the
+    rule degrades: at sigma = 1e-4 a cdf is off by up to 1.8e-4, and at
+    sigma = 1e-7 the demo mixture's score-optimal threshold comes out as 1.0.
+    The rule is built on first use, not by sampling.
     """
 
     def __init__(self, dist: TrueScoreDistribution, sigma: float):
@@ -601,13 +596,18 @@ class _NoisyEngine(_AnalyticEngine):
         return out
 
     def cond_mean_at_grid(self, taus: np.ndarray) -> np.ndarray:
-        # derivative identity: E[r | r_hat = q(tau)] = -d/dtau [(1-tau) E[r | r_hat >= q(tau)]]
-        h = _FD_STEP
-        lo = np.maximum(taus - h, 0.0)
-        hi = np.minimum(taus + h, 1.0 - 1e-9)
-        ends = np.concatenate([lo, hi])
-        g_lo, g_hi = np.split((1.0 - ends) * self.cond_mean_above_grid(ends), 2)
-        return -(g_hi - g_lo) / (hi - lo)
+        # -d/dtau of the tail mass on this rule: an atom's mean, else the kernel-weighted node mean
+        q = self.quantile_grid(taus)
+        out = q.copy()  # the perfect predictor's value, where both kernel sums underflow
+        low, top = (q <= 0.0) & (self._atom_low > 0.0), (q >= 1.0) & (self._atom_high > 0.0)
+        if low.any():
+            out[low] = self._low_tail[1] / self._atom_low
+        if top.any():
+            out[top] = self.cond_mean_top()
+        mid = np.flatnonzero(~(low | top))
+        num, den = self._quad(q[mid], (self._node_values, _normal_kernel), (self._mass, _normal_kernel))
+        out[mid[den > 0.0]] = num[den > 0.0] / den[den > 0.0]
+        return out
 
     def cond_mean_top(self) -> float:
         top = float(np.sum(self._node_values * (1.0 - ndtr((1.0 - self._nodes) / self.sigma))))
@@ -741,10 +741,10 @@ def _tau_grid(taus) -> np.ndarray:
 def conditional_mean_at(model: JointScoreModel, tau: float) -> float:
     """E[r | r_hat = q(tau)], the density-point conditional mean.
 
-    Analytic models are exact (perfect predictors) or use the derivative of
-    the tail mass ``(1-tau) * conditional_mean_above(tau)``.  Empirical
-    models have no density point and raise ``ValueError``; no threshold
-    solver needs one for them.
+    Perfect predictors give q(tau) itself; noisy ones the kernel-weighted
+    mean on the engine's Gauss rule, the exact tau-derivative of its tail
+    mass ``(1-tau) * conditional_mean_above(tau)``.  Empirical models have no
+    density point and raise ``ValueError``; no threshold solver needs one.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")

@@ -342,6 +342,39 @@ def test_infinite_beta_shape_rejected(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+def _noisy_mixture(sigma):
+    return {
+        "kind": "beta_mixture", "components": [[0.7, 2, 10], [0.3, 8, 2]],
+        "predictor": {"kind": "gaussian_clipped", "sigma": sigma},
+    }
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("threshold", {"model": _noisy_mixture(1e300)}, "model"),
+        ("opauc", {"candidates": [{"name": "flat", "model": _noisy_mixture(1e300)}]}, "candidates[0].model"),
+    ],
+)
+def test_information_free_predictor_exits_1(tmp_path, capsys, command, overrides, field):
+    # at sigma = 1e300 every node reads Phi = 1/2, so the efficacy is flat in tau
+    scn = _scenario(tmp_path, mu={"kind": "atoms", "atoms": [[0.2, 1.0]]}, **overrides)
+    code = cli.main([command, "--scenario", str(scn)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{field}.predictor.sigma: must be <= 1000.0" in captured.err
+
+
+@pytest.mark.parametrize("sigma", [1e-12, 1e-9, 1000.0])
+def test_noisy_threshold_runs_at_the_ends_of_the_sigma_range(tmp_path, capsys, sigma):
+    scn = _scenario(tmp_path, model=_noisy_mixture(sigma))
+    code, out = _run(capsys, "threshold", "--scenario", str(scn))
+    assert code == 0
+    kv = _parse_kv(out.splitlines()[0])
+    assert all(math.isfinite(float(kv[k])) for k in ("tau_score", "tau_star", "p0_critical"))
+
+
 def test_resource_caps_exit_1_with_field_path(tmp_path, capsys):
     from capthresh.scenario import MAX_POPULATION, MAX_TRIALS
 

@@ -469,18 +469,14 @@ def test_first_order_condition_at_optimum(uniform_perfect, mixture_perfect, mixt
         assert abs(fl.first_order_condition(model, P, tau)) <= 1e-6
 
 
-def _first_order_condition_at_zero_reference(model, params):
-    """Reference H(0) on a noisy model: the density-point mean at tau = 0 is the
-    one-sided difference of the tail mass (1 - tau) E[r | r_hat >= q(tau)] over [0, h]."""
-    eng = sm._engine(model)
-    h = sm._FD_STEP
-    g0 = eng.cond_mean_above(0.0)
-    gh = (1.0 - h) * eng.cond_mean_above(h)
-    cm_at = -(gh - g0) / h
-    er = sm.mean_true_score(model)
-    ratio = params.p0 / params.delta_p
-    cma = sm.conditional_mean_above(model, 0.0)
-    return (1.0 - 0.0) * (cma - cm_at) - ratio * (cm_at - er)
+def test_noisy_score_optimal_threshold_is_a_local_maximum_of_efficacy():
+    # At sigma = 10 the efficacy is nearly flat, so a density-point mean off by
+    # 1e-8 moves the root of H off the efficacy's maximum.
+    model = sm.Analytic(sm.BetaMixture(_SWEEP_MIX), sm.GaussianNoiseClipped(10.0))
+    tau = fl.score_optimal_threshold(model, P)
+    best = fl.fluid_efficacy(tau, model, P)
+    for step in (-1e-5, 1e-5):
+        assert fl.fluid_efficacy(tau + step, model, P) <= best
 
 
 def test_first_order_condition_at_zero_is_bitwise_the_reference(mixture_noisy):
@@ -488,7 +484,7 @@ def test_first_order_condition_at_zero_is_bitwise_the_reference(mixture_noisy):
     for model in (mixture_noisy, wide):
         for params in (P, fl.BehavioralParams(0.3, 0.4)):
             got = fl.first_order_condition(model, params, 0.0)
-            assert got == _first_order_condition_at_zero_reference(model, params)
+            assert got == _foc_reference(model, params, 0.0)  # q(0) = 0: the atom's own mean
 
 
 def test_first_order_condition_strictly_decreasing(uniform_perfect, mixture_perfect):
@@ -607,11 +603,15 @@ def _foc_reference(model, params, tau):
     if tau >= 1.0:
         return -ratio * (eng.cond_mean_top() - er)
     if isinstance(eng, sm._NoisyEngine):
-        h = sm._FD_STEP
-        lo, hi = max(tau - h, 0.0), min(tau + h, 1.0 - 1e-9)
-        g_lo = (1.0 - lo) * eng.cond_mean_above(lo)
-        g_hi = (1.0 - hi) * eng.cond_mean_above(hi)
-        cm_at = -(g_hi - g_lo) / (hi - lo)
+        q = eng.quantile(tau)
+        if q <= 0.0 and eng._atom_low > 0.0:
+            cm_at = eng._low_tail[1] / eng._atom_low
+        elif q >= 1.0 and eng._atom_high > 0.0:
+            cm_at = eng.cond_mean_top()
+        else:  # the kernel-weighted node mean at q
+            z = (q - eng._nodes) / eng.sigma
+            k = np.exp(-0.5 * z * z)
+            cm_at = float(np.sum(eng._node_values * k)) / float(np.sum(eng._mass * k))
     else:
         cm_at = eng.cond_mean_at(tau)  # the quantile for a perfect predictor
     cma = eng.cond_mean_above(tau)
@@ -716,6 +716,19 @@ def test_cond_mean_at_grid_is_bitwise_the_scalar():
         taus = np.array([0.0, 0.3, 0.5, 0.3, 0.9, 0.99999])
         got = grid_eng.cond_mean_at_grid(taus)
         assert [v.hex() for v in got.tolist()] == [scalar_eng.cond_mean_at(float(t)).hex() for t in taus], name
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-12, 1e-300])
+def test_noisy_solves_stay_finite_at_tiny_sigma(sigma):
+    # Both kernel sums underflow between nodes here; no value is pinned, only
+    # that every answer stays finite and in range.
+    for comps in (_SWEEP_MIX, _SHAPES_BELOW_ONE):
+        model = sm.Analytic(sm.BetaMixture(comps), sm.GaussianNoiseClipped(sigma))
+        with np.errstate(over="ignore"):  # at sigma = 1e-300, z * z overflows and the kernel reads 0
+            assert 0.0 <= fl.score_optimal_threshold(model, P) <= 1.0
+            assert 0.0 <= fl.critical_baseline(0.2, model, P.delta_p) <= 1.0 - P.delta_p
+            for tau in (0.5, 0.9):
+                assert math.isfinite(sm.conditional_mean_at(model, tau))
 
 
 def _gap_curve_reference(policy, *, axis, grid, model, params, rho=None, n=1.0):

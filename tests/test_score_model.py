@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy import integrate, special, stats
 from scipy.special import betaln
 
@@ -405,6 +406,32 @@ def test_cm_at_noisy_matches_mc_finite_difference(uniform_noisy):
 
     oracle = -(tail_mass(0.5 + h) - tail_mass(0.5 - h)) / (2 * h)
     assert abs(sm.conditional_mean_at(uniform_noisy, 0.5) - oracle) < 1e-2
+
+
+def _cm_at_mpmath(dist, sigma, q):
+    """E[r | r + sigma Z = q] to 20 digits: the integrals of x f(x) phi((q - x) / sigma)
+    and of f(x) phi((q - x) / sigma) over [0, 1], split where the kernel bends."""
+    with mp.workdps(20):
+        def density(x):
+            return sum(w * x ** (a - 1) * (1 - x) ** (b - 1) / mp.beta(a, b) for w, a, b in dist.components)
+
+        def kernel(x):
+            return mp.exp(-((q - x) / sigma) ** 2 / 2)
+
+        edges = sorted({0.0, 1.0, *(min(max(p, 0.0), 1.0) for p in (q - 6 * sigma, q, q + 6 * sigma))})
+        num = mp.quad(lambda x: x * density(x) * kernel(x), edges)
+        den = mp.quad(lambda x: density(x) * kernel(x), edges)
+        return float(num / den)
+
+
+@pytest.mark.parametrize("sigma", [10.0, 0.4, 0.1, 0.01])
+def test_cm_at_noisy_matches_mpmath(sigma):
+    model = sm.Analytic(MIX, sm.GaussianNoiseClipped(sigma))
+    low, high = _noisy_atoms(model)
+    for frac in (0.25, 0.5, 0.75):
+        tau = low + frac * (high - low)
+        q = sm.predicted_quantile(model, tau)
+        assert abs(sm.conditional_mean_at(model, tau) - _cm_at_mpmath(MIX, sigma, q)) <= 1e-14, (sigma, tau)
 
 
 def test_cm_at_empirical_raises():
