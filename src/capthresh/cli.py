@@ -214,13 +214,12 @@ def _cmd_validate(scn: sio.Scenario, args) -> int:
         fluid_w = fluid.fluid_objective(tau_star, model, nk, mk, params)
         if nk <= sim.EXACT_BUDGET:
             method = "exact"
-            seeds = np.random.SeedSequence((scn.seed, nk)).spawn(vspec.populations)
             vals = [
                 sim.exact_objective_random(
-                    sm.sample_population(model, nk, seed=s), tau_star, mk, params,
+                    sm.sample_population(model, nk, seed=rng), tau_star, mk, params,
                     flag_seed=scn.seed,
                 )
-                for s in seeds
+                for rng in sim.spawned_generators((scn.seed, nk), 0, vspec.populations)
             ]
             est = float(np.mean(vals))
         else:

@@ -490,7 +490,9 @@ def _upper_normal(z: np.ndarray) -> np.ndarray:
 
 
 def _normal_kernel(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z)
+    # below sigma ~ 1e-154, z * z overflows to inf, and exp(-inf) is the right 0.0
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z)
 
 
 class _NoisyEngine(_AnalyticEngine):

@@ -13,8 +13,11 @@ cohort, the k smallest keys among those eligible, ties to a second key --
 -r_hat and the tie-break permutation for flags, -r_hat of requesters and the
 tie key for priority, the lottery keys of the unserved for the lottery.
 
-RNG contract: the master seed spawns one independent substream per trial
-index.  Within a trial, draws are consumed in a fixed order -- cohort draws
+RNG contract: trial ``i`` draws from its own substream, the generator of
+``SeedSequence(seed).spawn(trials)[i]``.  The substreams' PCG64 states are
+computed in bulk (:func:`_spawn_states`), equal word for word to what
+``spawn`` and ``generate_state`` give, so no ``SeedSequence`` is built per
+trial.  Within a trial, draws are consumed in a fixed order -- cohort draws
 (``sample_population``'s, as plain arrays), flag tie-break permutation (drawn
 even when no one is flagged), request uniforms (individual-index order), then
 one prioritization tie key and one lottery key per individual.  A frozen
@@ -27,8 +30,9 @@ still consumes only its own substream.  Results are bitwise independent of the
 worker count, of the blocking and of which other taus are evaluated alongside.
 
 A trial's served value is summed in individual-index order, as
-``np.where(served, values, 0.0).sum()`` over the whole cohort, so it depends
-only on the served set and not on the order in which allocation found it.
+``(served * values).sum()`` over the whole cohort (values are finite and
+nonnegative, so unserved terms are exactly 0.0), so it depends only on the
+served set and not on the order in which allocation found it.
 
 The exact oracles replace Monte Carlo for small instances: the expected served
 count is an exact binomial convolution, and the random-allocation objective
@@ -47,6 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special._ufuncs import _binom_pmf as _binom_pmf_ufunc
 
 from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand
 from .score_model import JointScoreModel, Population, _engine, _tau_grid, flagged_count, flagged_counts
@@ -104,6 +109,85 @@ class SimEstimate:
 _BLOCK_CELLS = 1 << 15
 
 
+# numpy's SeedSequence constants (O'Neill's seed_seq hash, pool of four words)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(entropy) -> list[int]:
+    """The little-endian uint32 words ``SeedSequence`` reads from an int or a tuple of them."""
+    if isinstance(entropy, (tuple, list)):
+        return [w for part in entropy for w in _uint32_words(part)]
+    value, words = operator.index(entropy), []
+    while True:
+        words.append(value & _MASK32)
+        value >>= 32
+        if not value:
+            return words
+
+
+def _spawn_states(entropy, lo: int, hi: int) -> np.ndarray:
+    """PCG64 seed words of the children ``lo..hi-1`` of ``SeedSequence(entropy)``.
+
+    Row ``i - lo`` equals ``SeedSequence(entropy).spawn(hi)[i].generate_state(4,
+    np.uint64)``: numpy's entropy mixing replayed on uint32 arrays, one element
+    per child, so no ``SeedSequence`` is built per child.  A child index at or
+    above 2**32 would need a two-word spawn key and is rejected.
+    """
+    np.random.SeedSequence(entropy)  # rejects what numpy rejects: negative or non-integer entropy
+    if not 0 <= lo <= hi <= 1 << 32:
+        raise ValueError("spawn indices must lie in [0, 2**32)")
+    run = _uint32_words(entropy)
+    # a spawn key follows the run entropy zero-padded to the pool size
+    words = [*run, *[0] * (4 - len(run)), np.arange(lo, hi, dtype=np.uint32)]
+    h = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal h
+        value = np.uint32(value) ^ np.uint32(h)
+        h = h * mult & _MASK32
+        value = value * np.uint32(h)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ out >> np.uint32(16)
+
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps on purpose
+        pool = [hashmix(w) for w in words[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        h = _INIT_B  # generate_state(4, np.uint64): eight words cycled from the pool
+        state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=-1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """Hands a bit generator seed words computed ahead (see :func:`_spawn_states`)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def spawned_generators(entropy, lo: int, hi: int):
+    """Lazily, ``default_rng(SeedSequence(entropy).spawn(hi)[i])`` for ``i`` in ``lo..hi-1``.
+
+    The draws are the same as those generators'; the states are computed in
+    bulk by :func:`_spawn_states`.
+    """
+    for words in _spawn_states(entropy, lo, hi):
+        yield np.random.Generator(np.random.PCG64(_PresetSeed(words)))
+
+
 def _smallest(keys: np.ndarray, ks, second: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
     """Per row along the last axis and per ``k`` in ``ks``, the ``k`` smallest ``keys``.
 
@@ -111,25 +195,32 @@ def _smallest(keys: np.ndarray, ks, second: np.ndarray, members: np.ndarray | No
     ``k`` members keeps them all; a non-member's key must be at least every
     member's key in its row.  Ties at the cut go to the smaller ``second``.
     ``second`` and ``members`` broadcast against ``keys``; the result gains an
-    axis of ``len(ks)`` rows before the last.  One partition finds every cut.
+    axis of ``len(ks)`` rows before the last.  One cut comes from a partition,
+    several from one sort.
     """
     ks = np.asarray(ks)
     n = keys.shape[-1]
     if n == 0:
         return np.zeros(keys.shape[:-1] + ks.shape + (0,), dtype=bool)
     kth = np.minimum(ks, n) - 1  # k >= n cuts at the largest key; k = 0 is cleared below
+    over = None
     if kth.size == 1:  # a scalar kth partitions faster than a one-element array
         cuts = np.partition(keys, kth[0], axis=-1)[..., kth[0], None]
     else:
-        cuts = np.partition(keys, kth, axis=-1)[..., kth]
+        ordered = np.sort(keys, axis=-1)
+        cuts = ordered[..., kth]
+        if members is None:  # more than k keys are <= the cut iff the next key ties it
+            over = (ordered[..., np.minimum(ks, n - 1)] == cuts) & (ks > 0) & (ks < n)
     chosen = keys[..., None, :] <= cuts[..., None]
     if not ks.all():
         chosen[..., ks <= 0, :] = False
     if members is not None:
         chosen &= members[..., None, :]
+    if over is None:  # int32 counts faster than the default int64
+        over = chosen.sum(axis=-1, dtype=np.int32) > ks
     # a row with more than k chosen has too many tied at the cut: drop the tied
-    # ones with the largest ``second`` (int32 counts faster than the default int64)
-    for row in zip(*(chosen.sum(axis=-1, dtype=np.int32) > ks).nonzero()):
+    # ones with the largest ``second``
+    for row in zip(*over.nonzero()):
         cohort, k, picked = row[:-1], ks[row[-1]], chosen[row]
         tied = np.flatnonzero(picked & (keys[cohort] == cuts[row]))
         keep = k - (np.count_nonzero(picked) - tied.size)
@@ -191,13 +282,14 @@ def _pool_size(workers: int, trials: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, trials))
 
 
-def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
+def _run_trials(model, config, ks, population, lo, hi) -> np.ndarray:
     """Trials ``lo..hi-1``, each drawn once and evaluated at every flag count.
 
     Returns shape ``(len(ks), hi - lo, 5)``: per flag count and trial, the
     served value, served count, served flagged, served unflagged and request
-    count.  Trials are drawn one after another, each from its own generator,
-    and evaluated together in blocks of at most ``_BLOCK_CELLS`` cells.
+    count.  Trials are drawn one after another, trial ``i`` from the generator
+    of ``SeedSequence(config.seed).spawn(...)[i]``, and evaluated together in
+    blocks of at most ``_BLOCK_CELLS`` cells.
     ``population`` is a cohort fixed across trials, flagged with the
     permutation :func:`flag_top` draws from ``config.seed``, or None to sample
     a cohort per trial.
@@ -207,6 +299,7 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
     k_step = max(1, _BLOCK_CELLS // n)
     t_step = max(1, _BLOCK_CELLS // (n * ks.size))
     out = np.empty((ks.size, hi - lo, 5))
+    rngs = spawned_generators(config.seed, lo, hi)
     if population is not None:  # one (1, n) row that broadcasts over the trials
         perm = _flag_permutation(config.seed, n)
         r_hat, values = population.r_hat[None], population.r[None]
@@ -218,7 +311,7 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
             r_hat, values = np.empty((2, t1 - t0, n))
             perm = np.empty((t1 - t0, n), dtype=np.intp)
         for t in range(t1 - t0):
-            rng = np.random.default_rng(children[t0 + t])
+            rng = next(rngs)
             if population is None:
                 values[t], r_hat[t] = _engine(model).sample(rng, n)
                 perm[t] = rng.permutation(n)
@@ -231,11 +324,11 @@ def _run_trials(model, config, ks, population, children, lo, hi) -> np.ndarray:
             requests = (flags & requests_flagged) | requests_unflagged
             served = _serve(requests, r_hat[:, None], tie, lottery, config.m, config.beta1)
             rows = out[s:s + k_step, t0 - lo:t1 - lo]
-            rows[..., 0] = np.where(served, values[:, None], 0.0).sum(axis=-1).T
-            rows[..., 1] = served.sum(axis=-1, dtype=np.int32).T
+            rows[..., 0] = (served * values[:, None]).sum(axis=-1).T
+            rows[..., 4] = requests.sum(axis=-1, dtype=np.int32).T
+            rows[..., 1] = np.minimum(rows[..., 4], config.m)  # _serve serves min(m, requests)
             rows[..., 2] = (served & flags).sum(axis=-1, dtype=np.int32).T
             rows[..., 3] = rows[..., 1] - rows[..., 2]
-            rows[..., 4] = requests.sum(axis=-1, dtype=np.int32).T
     return out
 
 
@@ -277,15 +370,14 @@ def simulate_taus(
         raise ValueError("frozen population size must match config.n")
     if not uniq:
         return []
-    children = np.random.SeedSequence(config.seed).spawn(config.trials)
     procs = _pool_size(workers, config.trials)
     if procs <= 1 or config.trials < 4:
-        rows = _run_trials(model, config, uniq, population, children, 0, config.trials)
+        rows = _run_trials(model, config, uniq, population, 0, config.trials)
     else:
         bounds = np.linspace(0, config.trials, procs + 1).astype(int)
         with ProcessPoolExecutor(max_workers=procs) as pool:
             futs = [
-                pool.submit(_run_trials, model, config, uniq, population, children, lo, hi)
+                pool.submit(_run_trials, model, config, uniq, population, lo, hi)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
@@ -339,11 +431,11 @@ def grid_oracle(
 
 
 def _binom_pmf(k: int, p: float) -> np.ndarray:
-    from scipy import stats  # deferred: costly to import, and only the exact oracles need it
-
+    # scipy.stats.binom.pmf's own ufunc, bitwise equal to it for 0 <= p <= 1,
+    # without the 1 s import of scipy.stats
     if k == 0:
         return np.ones(1)
-    return stats.binom.pmf(np.arange(k + 1), k, p)
+    return _binom_pmf_ufunc(np.arange(k + 1), k, p)
 
 
 def _request_count_pmf(k_flagged: int, k_unflagged: int, params: BehavioralParams) -> np.ndarray:

@@ -251,6 +251,8 @@ def test_validate_computes_exact_rates_once_per_input(tmp_path, capsys, monkeypa
 
 
 def test_plan_commands_leave_scipy_stats_unloaded(tmp_path, cli_env):
+    # validate's exact oracles take scipy.stats' binomial pmf ufunc, not scipy.stats
+    scn = _scenario(tmp_path, validate={"n_values": [100, 400], "populations": 5})
     script = textwrap.dedent(f"""
         import sys
         import capthresh
@@ -258,6 +260,7 @@ def test_plan_commands_leave_scipy_stats_unloaded(tmp_path, cli_env):
         assert cli.execute(["threshold", "--scenario", {str(DEMO_SCENARIOS / "operating_point.json")!r}]) == 0
         assert cli.execute(["sweep", "--scenario", {str(DEMO_SCENARIOS / "rho_sweep.json")!r},
                             "--out", {str(tmp_path / "rho")!r}]) == 0
+        assert cli.execute(["validate", "--scenario", {str(scn)!r}]) == 0
         print("scipy.stats loaded:", "scipy.stats" in sys.modules)
     """)
     proc = subprocess.run(

@@ -718,17 +718,18 @@ def test_cond_mean_at_grid_is_bitwise_the_scalar():
         assert [v.hex() for v in got.tolist()] == [scalar_eng.cond_mean_at(float(t)).hex() for t in taus], name
 
 
-@pytest.mark.parametrize("sigma", [1e-9, 1e-12, 1e-300])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1e-9, 1e-12, 1e-200, 1e-300])
 def test_noisy_solves_stay_finite_at_tiny_sigma(sigma):
     # Both kernel sums underflow between nodes here; no value is pinned, only
-    # that every answer stays finite and in range.
+    # that every answer stays finite and in range, without a warning (z * z
+    # once overflowed in the normal kernel below sigma ~ 1e-154).
     for comps in (_SWEEP_MIX, _SHAPES_BELOW_ONE):
         model = sm.Analytic(sm.BetaMixture(comps), sm.GaussianNoiseClipped(sigma))
-        with np.errstate(over="ignore"):  # at sigma = 1e-300, z * z overflows and the kernel reads 0
-            assert 0.0 <= fl.score_optimal_threshold(model, P) <= 1.0
-            assert 0.0 <= fl.critical_baseline(0.2, model, P.delta_p) <= 1.0 - P.delta_p
-            for tau in (0.5, 0.9):
-                assert math.isfinite(sm.conditional_mean_at(model, tau))
+        assert 0.0 <= fl.score_optimal_threshold(model, P) <= 1.0
+        assert 0.0 <= fl.critical_baseline(0.2, model, P.delta_p) <= 1.0 - P.delta_p
+        for tau in (0.5, 0.9):
+            assert math.isfinite(sm.conditional_mean_at(model, tau))
 
 
 def _gap_curve_reference(policy, *, axis, grid, model, params, rho=None, n=1.0):

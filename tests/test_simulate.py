@@ -141,6 +141,18 @@ def test_smallest_edge_cases():
     assert np.array_equal(got, order < 2)
 
 
+def test_smallest_sort_path_equals_partition_path():
+    # several cuts come from one sort, one cut from a partition
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 5, 40):
+        keys = np.round(rng.random((3, n)), 1)  # heavy ties
+        second = np.array([rng.permutation(n) for _ in range(3)])
+        ks = [0, 1, n // 2, n - 1, n, n + 3]
+        together = sim._smallest(keys, ks, second)
+        for j, k in enumerate(ks):
+            assert np.array_equal(together[:, j], sim._smallest(keys, [k], second)[:, 0]), (n, k)
+
+
 # --- _serve (allocation) ------------------------------------------------------
 
 
@@ -250,13 +262,48 @@ def test_simulate_seed_determinism_and_worker_independence(mixture_perfect):
 
 def test_trial_outcome_conservation():
     pop = _uniform_pop(60, seed=8)
-    children = np.random.SeedSequence(3).spawn(40)
     cfg = sim.SimConfig(n=60, m=12, params=P, beta1=0.25, trials=40, seed=3)
     k = sm.flagged_count(60, 0.7)
-    rows = sim._run_trials(sm.Analytic(sm.Uniform01()), cfg, [k], pop, children, 0, 40)[0]
+    rows = sim._run_trials(sm.Analytic(sm.Uniform01()), cfg, [k], pop, 0, 40)[0]
     for _, served, served_flagged, served_unflagged, requests in rows:
         assert served == min(requests, 12)
         assert served_flagged + served_unflagged == served
+
+
+@pytest.mark.parametrize(
+    "entropy", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 12345, (2026, 400), (7, 2**40)]
+)
+def test_spawn_states_equal_spawn_and_generate_state(entropy):
+    children = np.random.SeedSequence(entropy).spawn(40)
+    for lo, hi in ((0, 40), (13, 29), (40, 40)):
+        expect = [c.generate_state(4, np.uint64) for c in children[lo:hi]]
+        got = sim._spawn_states(entropy, lo, hi)
+        assert got.dtype == np.uint64 and got.shape == (hi - lo, 4)
+        assert np.array_equal(got, np.array(expect, dtype=np.uint64).reshape(-1, 4))
+    for rng, child in zip(sim.spawned_generators(entropy, 5, 12), children[5:12], strict=True):
+        ref = np.random.default_rng(child)
+        assert np.array_equal(rng.random(7), ref.random(7))
+        assert np.array_equal(rng.permutation(9), ref.permutation(9))
+
+
+def test_spawn_states_reject_two_word_spawn_keys():
+    # 2**32 - 1 is the last index whose spawn key is one uint32 word
+    last = np.random.SeedSequence(5, spawn_key=(2**32 - 1,)).generate_state(4, np.uint64)
+    assert np.array_equal(sim._spawn_states(5, 2**32 - 1, 2**32), [last])
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        sim._spawn_states(5, 2**32, 2**32 + 1)
+    with pytest.raises(ValueError):
+        sim._spawn_states(-1, 0, 3)
+
+
+def test_simulate_taus_worker_independent_on_an_uneven_split(monkeypatch, mixture_perfect):
+    # 101 trials split 50/51 over two workers and 33/34/34 over three
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    cfg = sim.SimConfig(n=80, m=16, params=P, beta1=0.5, trials=101, seed=2**40 + 3)
+    taus = [0.0, 0.55, 0.8, 1.0]
+    for pop in (None, sm.sample_population(mixture_perfect, 80, seed=1)):
+        runs = [sim.simulate_taus(cfg, taus, mixture_perfect, population=pop, workers=w) for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_beta1_monotonicity_perfect_predictor(uniform_perfect):
@@ -290,6 +337,15 @@ def test_exact_served_vs_fluid_with_chernoff():
     fluid_n = fl.fluid_served(0.8, 1000, 200, P)
     assert exact <= fluid_n + 1e-9  # Jensen
     assert fluid_n - exact <= sim.chernoff_demand_bound(0.8, 1000, 200, P)
+
+
+def test_binom_pmf_bitwise_equals_scipy_stats():
+    from scipy import stats
+
+    for k in (1, 5, 100, 1600, 5000):
+        for p in (0.0, 1e-9, 0.1, 0.6, 0.999, 1.0):
+            expect = stats.binom.pmf(np.arange(k + 1), k, p)
+            assert sim._binom_pmf(k, p).tobytes() == expect.tobytes(), (k, p)
 
 
 def test_exact_served_budget():
@@ -500,7 +556,6 @@ def test_run_trials_bitwise_equal_reference(kind, beta1, mixture_perfect, monkey
         ),
     }.get(kind, _tie_corpus())
     n, trials = 60, 8
-    children = np.random.SeedSequence(44).spawn(trials)
     ks = sorted({sm.flagged_count(n, float(t)) for t in np.linspace(0.0, 1.0, 21)})
     assert ks[0] == 0 and ks[-1] == n
     # all 8 trials share a block unless split: 3 + 3 + 2 trials, or one (trial, k) row each
@@ -509,8 +564,9 @@ def test_run_trials_bitwise_equal_reference(kind, beta1, mixture_perfect, monkey
     population = sm.sample_population(model, n, seed=8)
     for m in (0, 12, n, 90):
         cfg = sim.SimConfig(n=n, m=m, params=P, beta1=beta1, trials=trials, seed=7)
+        children = np.random.SeedSequence(cfg.seed).spawn(trials)
         for pop in (None, population):
-            got = sim._run_trials(model, cfg, ks, pop, children, 0, trials)
+            got = sim._run_trials(model, cfg, ks, pop, 0, trials)
             expect = _reference_rows(model, cfg, ks, pop, children)
             assert np.array_equal(got, expect), (m, pop is None)
 
