@@ -275,6 +275,8 @@ def _foc_grid(model: JointScoreModel, ratio: np.ndarray, taus: np.ndarray) -> np
 
 
 _SCORE_OPT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# a corpus's tail means on the DEFAULT_GRID taus, which every p0 reuses
+_GRID_TAILS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def score_optimal_threshold(model: JointScoreModel, params: BehavioralParams) -> float:
@@ -352,12 +354,16 @@ def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
 def _empirical_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
     """Grid argmax of fluid_efficacy for every p0, smallest tau on ties.
 
-    The p0 values share one grid of tail means, and every grid value is
-    bitwise the scalar one.  Grid points below 1 with an empty tail are
-    skipped; at tau = 1 no one is flagged and the efficacy is E[r].
+    All calls on a model share one grid of tail means, computed on the first,
+    and every grid value is bitwise the scalar one.  Grid points below 1 with
+    an empty tail are skipped; at tau = 1 no one is flagged and the efficacy
+    is E[r].
     """
-    taus = np.linspace(0.0, 1.0, DEFAULT_GRID)
-    cma = conditional_mean_above_grid(model, taus)
+    grid = _GRID_TAILS.get(model)
+    if grid is None:
+        taus = np.linspace(0.0, 1.0, DEFAULT_GRID)
+        grid = _GRID_TAILS[model] = (taus, conditional_mean_above_grid(model, taus))
+    taus, cma = grid
     er = mean_true_score(model)
     return [_grid_argmax(taus, _efficacy_grid(taus, cma, er, p0, delta_p)) for p0 in p0s]
 

@@ -98,9 +98,10 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
     The sorted positions start..end-1 of a tie group hold ranks start+1..end,
     whose mean 0.5 * (start + end + 1) is a half-integer and so exact: the
-    result equals ``scipy.stats.rankdata(x)`` bit for bit.
+    result equals ``scipy.stats.rankdata(x)`` bit for bit, whatever order the
+    unstable sort leaves within a group.
     """
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     xs = x[order]
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     ends = np.r_[starts[1:], x.size]

@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -34,6 +35,7 @@ import numpy as np
 from .fluid import BehavioralParams, ThresholdPolicy
 from .metrics import Atoms, CapacityDistribution, SelectionReport, UniformRatio
 from .score_model import (
+    _MAX_SIGMA,
     Analytic,
     BetaMixture,
     EmpiricalJoint,
@@ -276,7 +278,7 @@ def _predictor(spec, path: str) -> Predictor:
         return Perfect()
     if kind == "gaussian_clipped":
         _keys(spec, {"kind", "sigma"}, path)
-        return GaussianNoiseClipped(_get(spec, "sigma", float, path, lo=0.0, hi=1e3))
+        return GaussianNoiseClipped(_get(spec, "sigma", float, path, lo=0.0, hi=_MAX_SIGMA))
     _fail(f"{path}.kind", f"unknown predictor kind '{kind}'")
 
 
@@ -401,14 +403,46 @@ _HEADERS = {"joint": "score,true_score", "labeled": "score,outcome"}
 def load_empirical_csv(path, mode: str, tie_seed: int = 0) -> JointScoreModel:
     """Read a two-column corpus; row numbers in errors count file lines.
 
-    The body is parsed by one ``np.loadtxt`` call and range-checked as whole
-    columns.  Where that call fails or a check does, the per-row scan
-    decides: it accepts everything ``float()`` accepts (underscores in
-    numbers, whitespace-only lines) and otherwise names the first bad row.
+    The file is read once as bytes.  When it is plain ASCII without the
+    control characters at which ``str.splitlines`` also breaks lines, and its
+    first line is the header, one ``np.loadtxt`` call parses the body from
+    the file itself and the columns are range-checked whole.  Otherwise, or
+    where that call or a check fails, the file is read again as UTF-8 text,
+    split by ``str.splitlines`` and scanned row by row.  The scan accepts
+    everything ``float()`` accepts (underscores in numbers, whitespace-only
+    lines) and otherwise names the first bad row.
     """
     if mode not in _HEADERS:
         raise ValueError("mode must be 'joint' or 'labeled'")
     path = Path(path)
+    scores, seconds = _load_file(path, mode) or _load_text(path, mode)
+    if mode == "joint":
+        return EmpiricalJoint(scores, seconds, tie_seed)
+    return EmpiricalLabeled(scores, seconds, tie_seed)
+
+
+# str.splitlines breaks lines at these ASCII bytes too, the file reader only at \n and \r
+_SPLITLINES_ONLY = b"\x0b\x0c\x1c\x1d\x1e"
+
+
+def _load_file(path: Path, mode: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both columns from one ``loadtxt`` call on the file, or None where the
+    text path must decide: lines that ``str.splitlines`` might break
+    elsewhere, another header, or a row that the call or a check rejects."""
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    if not raw.isascii() or any(b in raw for b in _SPLITLINES_ONLY):
+        return None
+    ends = [i for i in (raw.find(b"\n"), raw.find(b"\r")) if i >= 0]
+    if raw[: min(ends, default=len(raw))].strip() != _HEADERS[mode].encode():
+        return None
+    return _load_columns(path, mode)
+
+
+def _load_text(path: Path, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both columns from the text's ``str.splitlines`` lines; raises naming the fault."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
@@ -420,20 +454,19 @@ def load_empirical_csv(path, mode: str, tie_seed: int = 0) -> JointScoreModel:
         raise ScenarioError(
             f"{path.name}: bad header {lines[0]!r}; expected '{_HEADERS[mode]}'"
         )
-    body = lines[1:]
-    # loadtxt warns on a body without data, so such a body goes straight to the scan
-    columns = _load_columns(body, mode) if any(line.strip() for line in body) else None
-    scores, seconds = columns or _scan_rows(path.name, body, mode)
-    if mode == "joint":
-        return EmpiricalJoint(scores, seconds, tie_seed)
-    return EmpiricalLabeled(scores, seconds, tie_seed)
+    return _scan_rows(path.name, lines[1:], mode)
 
 
-def _load_columns(body: list[str], mode: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Both columns from one ``loadtxt`` call, or None if any row needs the scan."""
+def _load_columns(path: Path, mode: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both columns from one ``loadtxt`` call on the file's body, or None if
+    any row needs the scan."""
     try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # on a body without data; the scan names it
+            data = np.loadtxt(
+                path, skiprows=1, encoding="utf-8", delimiter=",", comments=None, ndmin=2
+            )
+    except (OSError, ValueError):
         return None
     if data.shape[0] < 1 or data.shape[1] != 2:
         return None

@@ -46,6 +46,9 @@ _NEWTON_MAX_ITER = 100
 # (cutoffs x nodes) temporaries hold at most _QUAD_CELLS entries (128 KiB), so
 # peak memory stays where it was with one cutoff at a time.
 _MIN_NODES, _MAX_NODES, _QUAD_CELLS = 64, 1024, 8 * 2048
+# Above this noise scale every Gauss node reads Phi = 1/2: the predictor
+# carries no information and every threshold plans the same efficacy.
+_MAX_SIGMA = 1e3
 
 
 def _beta_gauss(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -301,6 +304,8 @@ class GaussianNoiseClipped:
             raise ValueError("sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
+        if self.sigma > _MAX_SIGMA:
+            raise ValueError(f"sigma must be <= {_MAX_SIGMA}")
 
 
 Predictor = Perfect | GaussianNoiseClipped
@@ -631,13 +636,21 @@ class _EmpiricalEngine(_Engine):
         self.predicted = predicted
         self.values = values
         self.n = predicted.size
-        tie = np.random.default_rng(tie_seed).permutation(self.n)
-        # descending by predicted score, ties resolved by the permutation: a
-        # stable sort of the records laid out in tie order, which equals
-        # lexsort((tie, -predicted)) at about half its cost
-        by_tie = np.empty(self.n, dtype=np.intp)
-        by_tie[tie] = np.arange(self.n)
-        self.desc_order = by_tie[np.argsort(-predicted[by_tie], kind="stable")]
+        # descending by predicted score, ties resolved by the permutation: an
+        # unstable sort, whose order within a run of equal scores depends on
+        # the CPU's sort kernel, then each run sorted again by tie rank alone,
+        # which equals lexsort((tie, -predicted)) at a fraction of its cost
+        order = np.argsort(-predicted)
+        scores = predicted[order]
+        tied = scores[1:] == scores[:-1]  # -0.0 == 0.0, as in lexsort
+        if tied.any():
+            tie = np.random.default_rng(tie_seed).permutation(self.n)
+            pos = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+            run = np.r_[0, np.cumsum(~tied)][pos]  # nondecreasing along pos
+            rows = order[pos]
+            # one distinct key per row: its run, then its tie rank within the run
+            order[pos] = rows[np.argsort(run * self.n + tie[rows])]
+        self.desc_order = order
         # sums of the top k values for k = 0..n
         self._top_sums = np.zeros(self.n + 1)
         np.cumsum(values[self.desc_order], out=self._top_sums[1:])

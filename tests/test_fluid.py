@@ -842,6 +842,32 @@ def test_p0_sweep_engine_calls_do_not_grow_with_points(monkeypatch, name):
     assert counts[0] <= 200
 
 
+def _corpus_20k():
+    rng = np.random.default_rng(23)
+    r = rng.beta(2.0, 5.0, 20_000)
+    pred = np.round(np.clip(r + 0.1 * rng.standard_normal(20_000), 0.0, 1.0), 6)
+    return sm.EmpiricalLabeled(pred, (rng.random(20_000) < r).astype(float), tie_seed=5)
+
+
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        (lambda: _oracle_models()["joint_500"](),
+         {0.05: "0x1.9056de0000000p-8", 0.2: "0x1.f5c28f4000000p-5", 0.5: "0x1.3fbe76c800000p-2"}),
+        (_corpus_20k,
+         {0.05: "0x1.06dca88000000p-6", 0.2: "0x1.a2d0e56000000p-4", 0.5: "0x1.7958106800000p-2"}),
+    ],
+    ids=["joint_500", "labeled_20k"],
+)
+def test_critical_baseline_reads_a_corpus_tail_grid_once(monkeypatch, make, want):
+    for rho, p0_hex in want.items():
+        model = make()
+        calls = _count_engine_grid_calls(monkeypatch, model)
+        # each bisection step solves score-optimal thresholds at a new p0
+        assert fl.critical_baseline(rho, model, 0.5).hex() == p0_hex
+        assert calls == ["cond_mean_above_grid"]
+
+
 def _error(fn, **kw):
     with pytest.raises(Exception) as info:
         fn(**kw)

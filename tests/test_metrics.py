@@ -78,6 +78,9 @@ def test_average_ranks_equal_rankdata_bitwise():
         "all-equal": np.full(1000, 0.25),
         "single": np.array([0.7]),
         "clipped-noise": np.clip(rng.random(5000) + 0.3 * rng.standard_normal(5000), 0.0, 1.0),
+        "signed-zeros": np.where(rng.random(3000) < 0.5, -0.0, 0.0),  # -0.0 == 0.0: one tie group
+        "signed-zeros-and-ties": np.r_[np.full(500, -0.0), np.round(rng.random(3000), 2), np.zeros(500)],
+        "all-equal-large": np.full(20_000, 0.5),
     }
     for name, x in cases.items():
         ours, ref = mt._average_ranks(x), stats.rankdata(x)

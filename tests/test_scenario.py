@@ -282,17 +282,21 @@ def test_load_joint_bad_header(tmp_path):
 
 def test_load_empty_file(tmp_path):
     path = tmp_path / "e.csv"
-    path.write_text("score,outcome\n", encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a header-only body must not reach loadtxt, which warns
-        with pytest.raises(sio.ScenarioError, match="no data rows"):
-            sio.load_empirical_csv(path, "labeled")
+    for text in ("score,outcome\n", "score,outcome", "score,outcome\r\n \r\n\t", "score,outcome\n\x0c\n"):
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a body without data must not reach loadtxt, which warns
+            with pytest.raises(sio.ScenarioError, match="no data rows"):
+                sio.load_empirical_csv(path, "labeled")
 
 
 def _corpus(tmp_path, mode, body):
+    """The corpus file of ``body`` under its header line; a body that starts
+    with the header is the whole file."""
     header = "score,true_score" if mode == "joint" else "score,outcome"
     path = tmp_path / f"{mode}.csv"
-    path.write_bytes((header + "\n" + body).encode("utf-8"))
+    text = body if body.startswith(header) else header + "\n" + body
+    path.write_bytes(text.encode("utf-8"))
     return path
 
 
@@ -320,6 +324,14 @@ def _columns(model):
         ("labeled", "0.5,1\n0.5,0.5\n", "row 3: outcome 0.5 not in \\{0, 1\\}"),
         ("labeled", "0.5,1\n\n  \n0.5,2\n", "row 5: outcome 2 not in \\{0, 1\\}"),  # blank lines count
         ("labeled", "\n  \n", "no data rows"),
+        # str.splitlines breaks lines at \x0c, \x85 and \u2028, where loadtxt reads whitespace
+        ("joint", "0.5\x0c,1\n", "row 2: expected 2 fields"),
+        ("joint", "0.5,\u20281\n", "row 2: values must be numeric"),
+        ("joint", "0.5,0.5\x850.5,abc\n", "row 3: values must be numeric"),
+        ("labeled", " \x0c \n\x85\n", "no data rows"),
+        ("labeled", "score,outcome\r\n0.5,1\r\n0.5,2", "row 3: outcome 2 not in \\{0, 1\\}"),
+        ("labeled", "score,outcome\r0.5,1\r\r0.5,2\r", "row 4: outcome 2 not in \\{0, 1\\}"),
+        ("labeled", "0.5,1\n0.5,2", "row 3: outcome 2 not in \\{0, 1\\}"),
     ],
 )
 def test_load_rejects_bad_rows_by_file_line(tmp_path, mode, body, message):
@@ -336,6 +348,16 @@ def test_load_rejects_bad_rows_by_file_line(tmp_path, mode, body, message):
         (" 0.5 , 1\n\t0.25,0 \n", [0.5, 0.25], [1.0, 0.0]),
         ("-0,-0\n", [-0.0], [-0.0]),
         ("0.1_5,1\n", [0.15], [1.0]),  # float() accepts digit separators
+        # str.splitlines breaks lines at these characters too
+        ("\x0c0.5,1\n0.25,0\n", [0.5, 0.25], [1.0, 0.0]),
+        ("0.5,1\x0c0.25,0\n", [0.5, 0.25], [1.0, 0.0]),
+        ("0.5,1\x0b0.25,0\x1c0.75,1\x1d\x1e", [0.5, 0.25, 0.75], [1.0, 0.0, 1.0]),
+        ("0.5,1\x850.25,0\u20280.75,1\u2029", [0.5, 0.25, 0.75], [1.0, 0.0, 1.0]),
+        ("0.5,1\n\xa00.25\xa0,0\n", [0.5, 0.25], [1.0, 0.0]),  # no line break, only whitespace
+        ("0.5,1\r0.25,0\r", [0.5, 0.25], [1.0, 0.0]),
+        ("score,outcome\r\n0.5,1\r\n0.25,0", [0.5, 0.25], [1.0, 0.0]),
+        ("score,outcome\r0.5,1\r0.25,0\r", [0.5, 0.25], [1.0, 0.0]),
+        ("0.5,1\n0.25,0", [0.5, 0.25], [1.0, 0.0]),
     ],
 )
 def test_load_accepts_what_float_accepts(tmp_path, body, scores, seconds):
@@ -373,16 +395,25 @@ def test_scenario_rejects_a_corpus_without_positive_mass(tmp_path, mode):
 
 
 def test_scenario_tie_seed_reaches_the_sort(tmp_path):
-    pred = np.round(np.random.default_rng(4).random(300), 1)  # ties everywhere
-    (tmp_path / "c.csv").write_text(
-        "score,outcome\n" + "".join(f"{s},{int(s > 0.5)}\n" for s in pred), encoding="utf-8"
+    rng = np.random.default_rng(4)
+    pred = np.round(rng.random(300), 1)  # ties everywhere
+    signed_zeros = np.where(rng.random(50) < 0.5, -0.0, 0.0)
+    signed_zeros[::5] = 0.75
+    corpora = (
+        pred, np.full(40, 0.5), np.array([0.3]), signed_zeros,
+        np.clip(np.round(rng.random(500) * 1.6 - 0.3, 3), 0.0, 1.0),  # atoms at 0 and 1
+        np.round(rng.random(2000), 2), rng.permutation(pred),  # tied rows in another order
     )
-    for tie_seed in (0, 9):
-        doc = dict(MINIMAL, model={"kind": "empirical_labeled", "path": "c.csv", "tie_seed": tie_seed})
-        model = sio.load_scenario(_write(tmp_path, doc)).model.build()
-        assert model.tie_seed == tie_seed
-        tie = np.random.default_rng(tie_seed).permutation(pred.size)
-        np.testing.assert_array_equal(sm._engine(model).desc_order, np.lexsort((tie, -pred)))
+    for pred in corpora:
+        (tmp_path / "c.csv").write_text(
+            "score,outcome\n" + "".join(f"{s},{int(s >= 0.3)}\n" for s in pred), encoding="utf-8"
+        )
+        for tie_seed in (0, 9):
+            doc = dict(MINIMAL, model={"kind": "empirical_labeled", "path": "c.csv", "tie_seed": tie_seed})
+            model = sio.load_scenario(_write(tmp_path, doc)).model.build()
+            assert model.tie_seed == tie_seed and model.predicted.tobytes() == pred.tobytes()
+            tie = np.random.default_rng(tie_seed).permutation(pred.size)
+            np.testing.assert_array_equal(sm._engine(model).desc_order, np.lexsort((tie, -pred)))
 
 
 def test_load_large_labeled_matches_auc_oracle(tmp_path):

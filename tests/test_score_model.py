@@ -41,6 +41,12 @@ def test_noise_sigma_must_be_finite():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             sm.GaussianNoiseClipped(sigma)
+    # regression: at sigma = 1e300 every threshold planned the same efficacy,
+    # and score_optimal_threshold returned 0.5000000037252903 without an error
+    assert sm.GaussianNoiseClipped(1000.0).sigma == 1000.0
+    for sigma in (1000.0000000001, 1e300):
+        with pytest.raises(ValueError, match="sigma must be <= 1000.0"):
+            sm.GaussianNoiseClipped(sigma)
 
 def test_labeled_outcomes_binary():
     with pytest.raises(ValueError):
@@ -160,14 +166,40 @@ def test_cma_grid_matches_scalar_calls():
         sm.conditional_mean_above_grid(corpus, np.array([0.5, 1.5]))
 
 
+def _ties_in_any_order(rng):
+    """An ``np.argsort`` that leaves each run of equal keys in a random order,
+    as any unstable sort kernel may."""
+    lexsort = np.lexsort
+
+    def argsort(a, *args, **kwargs):
+        return lexsort((rng.permutation(a.size), a))
+
+    return argsort
+
+
 @pytest.mark.parametrize("tie_seed", [0, 1, 7, 123])
-def test_corpus_sort_equals_lexsort_on_ties(tie_seed):
+def test_corpus_sort_equals_lexsort_on_ties(tie_seed, monkeypatch):
     rng = np.random.default_rng(tie_seed)
     pred = np.round(rng.random(5000), 3)  # about five records per distinct score
-    for corpus in (pred, pred[:1]):
-        model = sm.EmpiricalJoint(corpus, np.full(corpus.size, 0.5), tie_seed=tie_seed)
+    clipped = np.clip(rng.random(3000) * 1.6 - 0.3, 0.0, 1.0)  # atoms at 0 and 1
+    signed_zeros = np.where(rng.random(400) < 0.5, -0.0, 0.0)
+    signed_zeros[::7] = 0.5
+    shuffled = pred.copy()
+    rng.shuffle(shuffled)  # the same tie runs, laid out in another order
+    corpora = (
+        pred, pred[:1], np.full(1000, 0.25), signed_zeros, clipped,
+        np.round(rng.random(2000), 2), shuffled,
+    )
+    for corpus in corpora:
         tie = np.random.default_rng(tie_seed).permutation(corpus.size)
-        np.testing.assert_array_equal(sm._engine(model).desc_order, np.lexsort((tie, -corpus)))
+        want = np.lexsort((tie, -corpus))
+        for argsort in (np.argsort, _ties_in_any_order(rng)):
+            with monkeypatch.context() as m:
+                m.setattr(np, "argsort", argsort)
+                engine = sm._EmpiricalEngine(corpus, np.full(corpus.size, 0.5), tie_seed)
+            np.testing.assert_array_equal(engine.desc_order, want)
+            # -0.0 == 0.0 ties, so the sign each slot of the sorted scores shows is the lexsort's
+            assert engine._pred_asc.tobytes() == corpus[want][::-1].tobytes()
 
 
 # --- closed forms and the one grid path ---------------------------------------------

@@ -5,7 +5,7 @@
 For each checkout ROOT (default: the one holding this script) it runs, with
 ``ROOT/src`` first on PYTHONPATH and ROOT as the working directory:
 
-* the eight demo CLI runs, ``python -m capthresh <command> --scenario
+* the ten demo CLI runs, ``python -m capthresh <command> --scenario
   demos/scenarios/<scenario>.json``;
 * the five demo scripts, ``python demos/0*.py``;
 
@@ -48,6 +48,8 @@ CLI_RUNS = [
     ("sweep", "p0_sweep"),
     ("opauc", "selection"),
     ("validate", "validate"),
+    ("threshold", "corpus_point"),
+    ("sweep", "corpus_sweep"),
 ]
 
 
