@@ -23,7 +23,8 @@ Everything is a pure function of immutable inputs.  The objective has one
 array form, ``_objective_grid``, with the elementwise arithmetic of the scalar
 ``fluid_objective``; the grid oracle and every sweep evaluate W through it.
 Both roots, the score-optimal threshold and the critical baseline, come from
-one root-finder, ``_bisect``, which halves any number of intervals in lockstep.
+one root-finder, ``_bisect``, which halves any number of intervals in lockstep
+and answers several halvings with each evaluation of its test.
 A sweep is solved as a whole rather than point by point: the score-optimal
 thresholds of all its p0 values in one lockstep bisection, and both
 objectives of every point from one grid of tail means and one
@@ -289,8 +290,10 @@ def score_optimal_threshold(model: JointScoreModel, params: BehavioralParams) ->
     per model and (p0, delta_p).
 
     A p0 sweep solves all its points together (see ``gap_curve``): the
-    bisections run in lockstep on the same dyadic midpoints, so each result
-    is bitwise this single-point solve.
+    bisections run in lockstep, each on the midpoints of its own
+    single-point bisection, so each result is bitwise this single-point
+    solve.  Each H evaluation answers several halvings at once (see
+    ``_bisect``): one point's solve takes 10 of them, not 29.
     """
     return _score_optimal_thresholds(model, [params.p0], params.delta_p)[0]
 
@@ -322,32 +325,74 @@ def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> 
 
     Every interval starts at [0, 1], so all share one dyadic width, run the
     same number of steps and visit the midpoints of their own single-point
-    bisection.  Each step is one grid evaluation of H.
+    bisection.  H(0) and H(1) come from one grid evaluation of H, and so
+    does each batch of ``_bisect`` halvings, ``_tree_levels`` deep.
     """
     ratio = np.array(p0s) / delta_p
-    tau = np.empty(ratio.size)
-    h0 = _foc_grid(model, ratio, np.zeros(ratio.size))
-    tau[h0 <= 0.0] = 0.0
-    rest = np.flatnonzero(h0 > 0.0)
+    ends = np.repeat([0.0, 1.0], ratio.size)
+    h0, h1 = _foc_grid(model, np.concatenate([ratio, ratio]), ends).reshape(2, -1)
+    tau = np.where(h0 <= 0.0, 0.0, 1.0)
+    rest = np.flatnonzero((h0 > 0.0) & (h1 < 0.0))
     if rest.size:
-        h1 = _foc_grid(model, ratio[rest], np.ones(rest.size))
-        tau[rest[h1 >= 0.0]] = 1.0
-        rest = rest[h1 < 0.0]
-    if rest.size:
-        ratio = ratio[rest]
+        levels = _tree_levels(model, rest.size)
+        ratio = np.tile(ratio[rest], 2**levels - 1)  # one run per tree node
         lo, hi = np.zeros(rest.size), np.ones(rest.size)
-        tau[rest] = _bisect(lambda mid: _foc_grid(model, ratio, mid) > 0.0, lo, hi, BISECT_TOL)
+        tau[rest] = _bisect(lambda mid: _foc_grid(model, ratio, mid) > 0.0, lo, hi, BISECT_TOL, levels)
     return tau.tolist()
 
 
-def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+def _tree_levels(model: JointScoreModel, width: int) -> int:
+    """How many halvings one ``_bisect`` call of ``up`` answers for ``width``
+    intervals: 3 for one interval, and 1 for a lockstep of several or on a
+    corpus.
+
+    A call of H costs a fixed part plus a part per point, so the best depth
+    falls as the width grows, and faster on the noisy predictor, whose
+    points cost more (BENCH_bisect_batch.json, ``depth_by_width``).  For one
+    interval, 3 levels is within 5% of the fastest depth measured on the
+    perfect and the sigma = 0.1 predictor.  A lockstep takes one depth
+    whatever its width, so that a sweep's calls of H do not grow with its
+    points.  It takes 1: 2 levels is faster up to about 20 intervals (by
+    12-19% at 11) but 17-33% slower on noisy sweeps of 41-81 points.  A
+    corpus takes 1, as each of its points costs a full grid argmax.
+    """
+    if width > 1 or is_empirical(model):
+        return 1
+    return 3
+
+
+def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float, levels: int) -> np.ndarray:
     """Midpoints of intervals [lo, hi] halved in lockstep until the widest is
-    at most tol, each keeping its upper half where ``up(mid)`` holds."""
+    at most tol, each keeping its upper half where ``up(mid)`` holds.
+
+    Each call of ``up`` answers the next ``levels`` halvings: it gets every
+    midpoint those halvings could visit, the 2**levels - 1 nodes of a binary
+    tree per interval, as one 1-d array of whole levels in order, each node a
+    run of one value per interval, and returns a boolean array of the same
+    size.  At 1 level that array is the midpoints themselves.  Every node is
+    0.5 * (lo + hi) of the same floats as one halving at a time, and the walk
+    down the tree halves exactly as that loop does, with its stop rule
+    checked before each level, so for an elementwise ``up`` each result is
+    bitwise the one-midpoint-per-call bisection's.
+    """
+    width = lo.size
+    rows = np.arange(width)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        go_up = up(mid)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
+        tree, a, b = [mid], lo, hi
+        for _ in range(1, levels):
+            # on a level of k nodes, node j's halves are nodes j (lower) and j + k (upper) one level down
+            a, b = np.concatenate((a, tree[-1])), np.concatenate((tree[-1], b))
+            tree.append(0.5 * (a + b))
+        go_up = up(mid if levels == 1 else np.concatenate(tree))
+        go, node = go_up[:width], 0  # node 0: the root, mid
+        for depth in range(1, levels + 1):
+            lo = np.where(go, mid, lo)
+            hi = np.where(go, hi, mid)
+            if depth == levels or not np.max(hi - lo) > tol:
+                break
+            node += (1 + go) << (depth - 1)  # the next level's node, counted over the whole tree
+            mid, go = 0.5 * (lo + hi), go_up[node * width + rows]
     return 0.5 * (lo + hi)
 
 
@@ -434,7 +479,7 @@ def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> flo
         return 0.0
     if unbound(np.array([p_max]))[0]:
         return p_max
-    return float(_bisect(unbound, np.zeros(1), np.array([p_max]), 1e-9)[0])
+    return float(_bisect(unbound, np.zeros(1), np.array([p_max]), 1e-9, _tree_levels(model, 1))[0])
 
 
 def max_relative_gap_capacity_matching(

@@ -447,6 +447,8 @@ def _load_text(path: Path, mode: str) -> tuple[np.ndarray, np.ndarray]:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ScenarioError(f"cannot read corpus: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{path.name}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     lines = text.splitlines()
     if not lines:
         raise ScenarioError(f"{path.name}: empty file")

@@ -564,6 +564,17 @@ def test_corpus_without_positive_mass_exits_1(tmp_path, capsys, mode, rows):
         assert f"scenario error: zeros.csv: every {column} is 0" in captured.err
 
 
+def test_non_utf8_corpus_exits_1(tmp_path, capsys):
+    # regression: the decode error escaped the loader and exited 2
+    (tmp_path / "bad.csv").write_bytes(b"score,outcome\n0.2,0\n0.9,1\xff\n")
+    model = {"kind": "empirical_labeled", "path": "bad.csv"}
+    scn = _scenario(tmp_path, model=model, mu={"kind": "atoms", "atoms": [[0.2, 1.0]]})
+    assert cli.main(["threshold", "--scenario", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario error: bad.csv: not UTF-8 text" in captured.err
+
+
 def test_flag_replaces_a_bad_file_value_unchecked(tmp_path, capsys):
     # the flag is laid over the document before the check, so trials = 0 is never seen
     scn = _scenario(tmp_path, trials=0)

@@ -304,20 +304,14 @@ def test_critical_baseline_matches_nested_bisection(
 
 def test_critical_baseline_one_level_of_root_finding(monkeypatch):
     model = sm.Analytic(sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))))
-    calls = []
-    foc_grid = fl._foc_grid
-
-    def counting_foc_grid(*args):
-        calls.append(args)
-        return foc_grid(*args)
+    calls = _count_foc_grid_calls(monkeypatch)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("critical_baseline ran a score-optimal solve")
 
-    monkeypatch.setattr(fl, "_foc_grid", counting_foc_grid)
     monkeypatch.setattr(fl, "_score_optimal_thresholds", no_solve)
     fl.critical_baseline(0.2, model, 0.5)
-    assert 0 < len(calls) <= 40
+    assert 0 < len(calls) <= 11  # H at p0 = 1 - delta_p, then 29 halvings, three per call
 
 
 def _critical_baseline_scalar(rho, model, delta_p):
@@ -377,15 +371,110 @@ def test_bisect_halves_every_interval_in_lockstep():
     # roots 0.3, 0.7 and (clamped) 1.0; each interval keeps its own upper half
     roots = np.array([0.3, 0.7, 2.0])
     lo, hi = np.array([0.0, 0.5, 0.0]), np.array([1.0, 1.0, 1.0])
-    steps = []
+    trees = []
 
     def up(mid):
-        steps.append(mid)
-        return mid < roots
+        trees.append(mid)
+        return mid < np.resize(roots, mid.size)  # the tree: whole levels, one run of intervals per node
 
-    got = fl._bisect(up, lo, hi, 1e-6)
-    assert len(steps) == 20  # the widest interval, width 1, sets the step count
+    halvings, levels = 20, 2  # the widest interval, width 1, halves 20 times to reach 1e-6
+    got = fl._bisect(up, lo, hi, 1e-6, levels)
+    assert len(trees) == halvings // levels  # each call answers `levels` halvings
     assert np.all(np.abs(got - np.array([0.3, 0.7, 1.0])) <= 1e-6)
+
+
+def _bisect_reference(up, lo, hi, tol):
+    """One-midpoint-per-call bisection, as ``_bisect`` was before each call
+    answered several halvings; also returns each step's midpoints and answers."""
+    steps = []
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        go_up = up(mid)
+        steps.append((mid, go_up))
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    return 0.5 * (lo + hi), steps
+
+
+def _hexes(x):
+    return [v.hex() for v in np.asarray(x, dtype=float).tolist()]
+
+
+_BRACKETS = [(0.0, 1.0), (0.0, 0.37), (0.1, 0.9), (0.0, 1.0 - 0.3), (0.25, 0.5)]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_bisect_is_bitwise_the_one_midpoint_bisection(levels, tol):
+    rng = np.random.default_rng(levels)
+    for width in range(1, 13):
+        lo, hi = np.array([_BRACKETS[(i + width) % len(_BRACKETS)] for i in range(width)]).T
+        roots = lo + rng.random(width) * (hi - lo)
+        roots[0] = 0.5 * (lo[0] + hi[0])  # on the first midpoint
+        if width > 1:
+            roots[1] = lo[1] + 0.25 * (hi[1] - lo[1])  # on a dyadic midpoint two levels down
+        cases = {
+            "below root": lambda mid, r: mid < r,
+            "at or below root": lambda mid, r: mid <= r,
+            "never": lambda mid, r: np.zeros(mid.shape, dtype=bool),
+            "always": lambda mid, r: np.ones(mid.shape, dtype=bool),
+        }
+        for name, rule in cases.items():
+            ref, steps = _bisect_reference(lambda mid: rule(mid, roots), lo, hi, tol)
+            trees = []
+
+            def up(mid):
+                trees.append(mid)
+                return rule(mid, np.resize(roots, mid.size))
+
+            got = fl._bisect(up, lo, hi, tol, levels)
+            assert _hexes(got) == _hexes(ref), (width, name)
+            assert len(trees) == -(-len(steps) // levels), (width, name)
+            assert all(tree.shape == (width * (2**levels - 1),) for tree in trees), (width, name)
+            # the walk consults, at each halving, the reference's midpoint: its node
+            # in the call's tree is the path of the reference's answers so far
+            rows = np.arange(width)
+            for i, (mid, go_up) in enumerate(steps):
+                call, depth = divmod(i, levels)
+                node = np.zeros(width, dtype=int) if depth == 0 else node + (prev_go << depth - 1)
+                assert _hexes(trees[call][(2**depth - 1 + node) * width + rows]) == _hexes(mid), (width, name, i)
+                prev_go = go_up.astype(int)
+
+
+def _count_foc_grid_calls(monkeypatch):
+    calls = []
+    foc_grid = fl._foc_grid
+
+    def counting_foc_grid(*args):
+        calls.append(args)
+        return foc_grid(*args)
+
+    monkeypatch.setattr(fl, "_foc_grid", counting_foc_grid)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["mixture_perfect", "mixture_noisy_0.1"])
+def test_score_optimal_threshold_takes_ten_foc_calls(monkeypatch, name):
+    # 27 halvings of [0, 1] reach 1e-8, three per call, after one call for H(0) and H(1)
+    model, ref_model = _sweep_models()[name](), _sweep_models()[name]()
+    calls = _count_foc_grid_calls(monkeypatch)
+    got = fl.score_optimal_threshold(model, P)
+    assert len(calls) <= 10
+    assert got.hex() == _score_optimal_reference(ref_model, P).hex()
+
+
+def test_critical_baseline_solves_one_corpus_p0_per_call(monkeypatch):
+    model = _corpus_2000()
+    widths = []
+    solve = fl._score_optimal_thresholds
+
+    def recording_solve(model, p0s, delta_p):
+        widths.append(len(p0s))
+        return solve(model, p0s, delta_p)
+
+    monkeypatch.setattr(fl, "_score_optimal_thresholds", recording_solve)
+    fl.critical_baseline(0.2, model, 0.5)
+    assert len(widths) > 20 and set(widths) == {1}
 
 
 # --- max relative gap ------------------------------------------------------------------

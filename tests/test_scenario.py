@@ -280,6 +280,15 @@ def test_load_joint_bad_header(tmp_path):
         sio.load_empirical_csv(path, "joint")
 
 
+def test_load_non_utf8_corpus_names_the_file(tmp_path):
+    # regression: a bare UnicodeDecodeError escaped, which the CLI reports as exit 2
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"score,outcome\n0.5,1\n0.\xff,0\n")
+    for mode in ("labeled", "joint"):
+        with pytest.raises(sio.ScenarioError, match=r"^bad\.csv: not UTF-8 text"):
+            sio.load_empirical_csv(path, mode)
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "e.csv"
     for text in ("score,outcome\n", "score,outcome", "score,outcome\r\n \r\n\t", "score,outcome\n\x0c\n"):
