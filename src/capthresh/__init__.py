@@ -66,6 +66,7 @@ from .simulate import (
     chernoff_demand_bound,
     exact_expected_served,
     exact_objective_random,
+    exact_objectives_random,
     exact_service_rates,
     flag_top,
     grid_oracle,

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import fluid, metrics, scenario as sio, score_model as sm, simulate as sim
+from . import fluid, metrics, scenario as sio, simulate as sim
 from .fluid import BehavioralParams
 from .scenario import ScenarioError
 
@@ -214,13 +214,10 @@ def _cmd_validate(scn: sio.Scenario, args) -> int:
         fluid_w = fluid.fluid_objective(tau_star, model, nk, mk, params)
         if nk <= sim.EXACT_BUDGET:
             method = "exact"
-            vals = [
-                sim.exact_objective_random(
-                    sm.sample_population(model, nk, seed=rng), tau_star, mk, params,
-                    flag_seed=scn.seed,
-                )
-                for rng in sim.spawned_generators((scn.seed, nk), 0, vspec.populations)
-            ]
+            vals = sim.exact_objectives_random(
+                model, nk, tau_star, mk, params,
+                seed=(scn.seed, nk), populations=vspec.populations, flag_seed=scn.seed,
+            )
             est = float(np.mean(vals))
         else:
             method = "mc"

@@ -363,7 +363,9 @@ def _tree_levels(model: JointScoreModel, width: int) -> int:
 
 def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float, levels: int) -> np.ndarray:
     """Midpoints of intervals [lo, hi] halved in lockstep until the widest is
-    at most tol, each keeping its upper half where ``up(mid)`` holds.
+    at most tol, each keeping its upper half where ``up(mid)`` holds.  The
+    halving also stops once every midpoint equals an end of its interval,
+    which a tol below one ulp of the root would otherwise never reach.
 
     Each call of ``up`` answers the next ``levels`` halvings: it gets every
     midpoint those halvings could visit, the 2**levels - 1 nodes of a binary
@@ -377,8 +379,13 @@ def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float, levels: int) -> np.n
     """
     width = lo.size
     rows = np.arange(width)
-    while np.max(hi - lo) > tol:
+    last = math.inf
+    while (widest := np.max(hi - lo)) > tol:
         mid = 0.5 * (lo + hi)
+        # the widest interval did not shrink: stop if no interval halves further
+        if widest == last and not ((lo < mid) & (mid < hi)).any():
+            break
+        last = widest
         tree, a, b = [mid], lo, hi
         for _ in range(1, levels):
             # on a level of k nodes, node j's halves are nodes j (lower) and j + k (upper) one level down

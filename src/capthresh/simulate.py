@@ -38,7 +38,10 @@ The exact oracles replace Monte Carlo for small instances: the expected served
 count is an exact binomial convolution, and the random-allocation objective
 for a frozen cohort follows from serving each requester with probability
 ``E[min(m / (1 + S_other), 1)]``, where S_other is the convolution of the
-other n-1 request indicators.
+other n-1 request indicators.  :func:`exact_objectives_random` evaluates many
+sampled cohorts, each drawn from its own substream like a trial's cohort, and
+flags and sums them block by block as the trial kernel does; each value is
+bitwise :func:`exact_objective_random` of that cohort.
 """
 
 from __future__ import annotations
@@ -303,6 +306,8 @@ def _run_trials(model, config, ks, population, lo, hi) -> np.ndarray:
     if population is not None:  # one (1, n) row that broadcasts over the trials
         perm = _flag_permutation(config.seed, n)
         r_hat, values = population.r_hat[None], population.r[None]
+    else:
+        ramp = np.arange(n)
     for t0 in range(lo, hi, t_step):
         t1 = min(t0 + t_step, hi)
         # per-trial draws, shaped (trial, 1, individual) to broadcast over flag counts
@@ -314,7 +319,8 @@ def _run_trials(model, config, ks, population, lo, hi) -> np.ndarray:
             rng = next(rngs)
             if population is None:
                 values[t], r_hat[t] = _engine(model).sample(rng, n)
-                perm[t] = rng.permutation(n)
+                perm[t] = ramp  # shuffled in place: what rng.permutation(n) does, without its copy
+                rng.shuffle(perm[t])
             for draw in (u, tie, lottery):
                 rng.random(out=draw[t, 0])
         requests_unflagged = u < p.p0
@@ -500,17 +506,58 @@ def exact_objective_random(
     Sums r_i * p_i * E[min(m / (1 + S_other), 1)] over individuals via the
     per-group service rates of :func:`exact_service_rates`.  beta1 = 0 only.
     """
-    n = population.n
-    if n > EXACT_BUDGET:
+    if population.n > EXACT_BUDGET:
         raise ValueError("population too large for the exact oracle; use Monte Carlo")
+    return float(_exact_values(population.r[None], population.r_hat[None], tau, m, params, flag_seed)[0])
+
+
+def exact_objectives_random(
+    model: JointScoreModel,
+    n: int,
+    tau: float,
+    m: int,
+    params: BehavioralParams,
+    *,
+    seed,
+    populations: int,
+    flag_seed: int = 0,
+) -> np.ndarray:
+    """:func:`exact_objective_random` of ``populations`` cohorts drawn from ``model``.
+
+    Cohort ``i`` is ``sample_population(model, n, seed=g)`` for the ``i``-th
+    generator ``g`` of ``spawned_generators(seed, 0, populations)``, and its
+    value is bitwise ``exact_objective_random`` of that cohort.  Cohorts are
+    drawn as plain arrays and flagged in blocks of at most ``_BLOCK_CELLS``
+    cells, as in the trial kernel.
+    """
+    if not 1 <= n <= EXACT_BUDGET:
+        raise ValueError(f"n must be in [1, {EXACT_BUDGET}] for the exact oracle; use Monte Carlo above")
+    out = np.empty(populations)
+    step = max(1, _BLOCK_CELLS // n)
+    rngs = spawned_generators(seed, 0, populations)
+    for c0 in range(0, populations, step):
+        c1 = min(c0 + step, populations)
+        r, r_hat = np.empty((2, c1 - c0, n))
+        for i in range(c1 - c0):
+            r[i], r_hat[i] = _engine(model).sample(next(rngs), n)
+        out[c0:c1] = _exact_values(r, r_hat, tau, m, params, flag_seed)
+    return out
+
+
+def _exact_values(r, r_hat, tau, m, params, flag_seed) -> np.ndarray:
+    """The exact served value of each row of the cohorts ``(r, r_hat)``, shaped (cohort, individual)."""
+    rows, n = r.shape
     if m <= 0:
-        return 0.0
-    flags = flag_top(population, tau, seed=flag_seed)
-    alpha_flagged, alpha_unflagged = exact_service_rates(tau, n, m, params)
+        return np.zeros(rows)
+    k = flagged_count(n, tau)
+    flags = _smallest(-r_hat, [k], _flag_permutation(operator.index(flag_seed), n))[:, 0]
+    alpha_flagged, alpha_unflagged = _service_rates(k, n, m, params)
+    # every row has exactly k flags, so each row's sum adds the values of a
+    # 1-d r[flags].sum() in the same order: bitwise that pairwise sum
+    flagged = r[flags].reshape(rows, k).sum(axis=1)
+    unflagged = r[~flags].reshape(rows, n - k).sum(axis=1)
     p1 = params.p0 + params.delta_p
-    total = p1 * alpha_flagged * float(population.r[flags].sum())
-    total += params.p0 * alpha_unflagged * float(population.r[~flags].sum())
-    return total
+    return p1 * alpha_flagged * flagged + params.p0 * alpha_unflagged * unflagged
 
 
 def chernoff_demand_bound(tau: float, n: int, m: int, params: BehavioralParams) -> float:

@@ -369,6 +369,19 @@ def test_information_free_predictor_exits_1(tmp_path, capsys, command, overrides
     assert f"{field}.predictor.sigma: must be <= 1000.0" in captured.err
 
 
+def test_small_sigma_threshold_writes_nothing_to_stderr(tmp_path, cli_env):
+    # numpy's "overflow encountered in divide" warnings once reached stderr here;
+    # in a subprocess, since pytest would record them in-process
+    scn = _scenario(tmp_path, model=_noisy_mixture(1e-5))
+    proc = subprocess.run(
+        [sys.executable, "-m", "capthresh", "threshold", "--scenario", str(scn)],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("rho=0.2 ")
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("sigma", [1e-12, 1e-9, 1000.0])
 def test_noisy_threshold_runs_at_the_ends_of_the_sigma_range(tmp_path, capsys, sigma):
     scn = _scenario(tmp_path, model=_noisy_mixture(sigma))

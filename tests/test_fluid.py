@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,39 @@ def test_bisect_is_bitwise_the_one_midpoint_bisection(levels, tol):
                 node = np.zeros(width, dtype=int) if depth == 0 else node + (prev_go << depth - 1)
                 assert _hexes(trees[call][(2**depth - 1 + node) * width + rows]) == _hexes(mid), (width, name, i)
                 prev_go = go_up.astype(int)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-16, 0.0])
+def test_bisect_stops_when_tol_is_below_an_ulp(levels, tol):
+    # near 0.73 one ulp is 1.1e-16: adjacent ends kept the halving going forever
+    roots = np.array([0.73, 0.5, 1e-3])
+    lo, hi = np.zeros(3), np.array([1.0, 0.5, 1e-3])  # the last two end at their roots
+    calls = 0
+
+    def up(mid):
+        nonlocal calls
+        calls += 1
+        if calls > 64:  # 1.0 halves 53 times before its ends are adjacent floats
+            raise AssertionError("_bisect did not stop")
+        return mid < np.resize(roots, mid.size)
+
+    got = fl._bisect(up, lo, hi, tol, levels)
+    assert got[0] in (0.73, np.nextafter(0.73, 0.0))
+    assert got[1] in (0.5, np.nextafter(0.5, 0.0))
+    assert got[2] in (1e-3, np.nextafter(1e-3, 0.0))
+
+
+def test_small_sigma_solves_warn_nothing():
+    # at sigma = 1e-5 the cdf table's slopes and some Newton steps divide by a
+    # density that underflows: an infinite slope or step is meant, yet numpy
+    # printed two "overflow encountered in divide" warnings
+    model = sm.Analytic(sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))), sm.GaussianNoiseClipped(1e-5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = fl.two_point_threshold(0.2, model, P)
+        p0_critical = fl.critical_baseline(0.2, model, P.delta_p)
+    assert 0.0 < tau < 1.0 and 0.0 < p0_critical < 1.0
 
 
 def _count_foc_grid_calls(monkeypatch):

@@ -531,12 +531,23 @@ def test_sample_binary_mode_outcomes(mixture_perfect):
     assert y.mean() == pytest.approx(pop.r.mean(), abs=0.005)
 
 
+def _many_components(k, seed):
+    """k beta components with random weights, two of them 0, and random shapes."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(k))
+    weights[[1, k // 2]] = 0.0
+    shapes = rng.uniform(0.5, 10.0, size=(k, 2))
+    return tuple((float(w), float(a), float(b)) for w, (a, b) in zip(weights / weights.sum(), shapes))
+
+
 @pytest.mark.parametrize(
     "components",
     [
         ((1.0, 2.0, 3.0),),
         ((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)),
         ((0.5, 2.0, 3.0), (0.0, 1.0, 1.0), (0.5, 0.5, 4.0)),  # a component of weight 0
+        _many_components(33, seed=3),  # picked by comparisons at 20,000 draws
+        _many_components(sm._COMPARE_COMPONENTS + 8, seed=4),  # picked by binary search
     ],
 )
 @pytest.mark.parametrize("n", [1, 1000, 20000])
@@ -549,6 +560,48 @@ def test_mixture_sample_matches_generator_choice(components, n):
         comp = ref.choice(len(components), size=n, p=weights)
         assert np.array_equal(mix.sample(ours, n), ref.beta(alphas[comp], betas[comp]))
         assert ours.random() == ref.random()  # the same draws consumed
+
+
+class _EchoRng:
+    """Hands ``BetaMixture.sample`` the given uniforms, and returns each draw's
+    alpha as its beta draw, so the draw reads back the component picked."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+    def beta(self, a, b):
+        return a
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (1.0,),
+        (0.3, 0.7),
+        (0.2, 0.3, 0.5),
+        (0.0, 0.4, 0.6),  # weight-0 components first, between and last
+        (0.5, 0.0, 0.5),
+        (0.5, 0.5, 0.0),
+        tuple(w for w, _, _ in _many_components(sm._COMPARE_COMPONENTS, seed=1)),
+        tuple(w for w, _, _ in _many_components(sm._COMPARE_COMPONENTS + 1, seed=2)),
+    ],
+)
+def test_mixture_component_pick_is_the_binary_search(weights):
+    # uniforms exactly on each cut and one ulp either side: the pick must be
+    # cdf.searchsorted(u, side="right"), what Generator.choice does, both for
+    # few draws and for enough draws per cut to pick by comparisons
+    mix = sm.BetaMixture(tuple((w, k + 1.0, 1.0) for k, w in enumerate(weights)))
+    cdf = mix._sampler[0]
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
+    u = u[u < 1.0]
+    for n in (u.size, max(u.size, sm._COMPARE_DRAWS_PER_CUT * (cdf.size - 1))):
+        draws = np.resize(u, n)
+        picked = mix.sample(_EchoRng(draws), n) - 1.0
+        assert picked.tolist() == cdf.searchsorted(draws, side="right").tolist()
 
 
 @pytest.mark.parametrize("n", [1, 5, 1000, 20000])

@@ -388,6 +388,86 @@ def test_exact_objective_zero_capacity():
     assert sim.exact_objective_random(pop, 0.5, 0, P) == 0.0
 
 
+# --- exact_objectives_random -------------------------------------------------------
+
+
+_MIX = sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)))
+
+
+def _tied_corpus():
+    # five distinct predicted scores over 60 records: sampled cohorts tie at every cut
+    rng = np.random.default_rng(21)
+    return sm.EmpiricalJoint(rng.integers(0, 5, 60) / 4.0, rng.random(60), tie_seed=3)
+
+
+_COHORT_MODELS = {
+    "mixture_perfect": lambda: sm.Analytic(_MIX),
+    # clipping puts atoms at r_hat = 0 and 1, which tie at the k = 1 and k = n - 1 cuts
+    "mixture_noisy_0.1": lambda: sm.Analytic(_MIX, sm.GaussianNoiseClipped(0.1)),
+    "tied_corpus": _tied_corpus,
+}
+
+
+def _exact_objective_reference(pop, tau, m, flag_seed):
+    """exact_objective_random as one cohort's 1-d sums, before cohorts were batched."""
+    if m <= 0:
+        return 0.0
+    flags = sim.flag_top(pop, tau, seed=flag_seed)
+    alpha_flagged, alpha_unflagged = sim.exact_service_rates(tau, pop.n, m, P)
+    total = (P.p0 + P.delta_p) * alpha_flagged * float(pop.r[flags].sum())
+    total += P.p0 * alpha_unflagged * float(pop.r[~flags].sum())
+    return total
+
+
+def _exact_per_cohort(model, n, tau, m, seed, populations, flag_seed):
+    """The reference: one sampled Population per cohort, as validate drew them,
+    checking exact_objective_random on each against the 1-d sums."""
+    out = []
+    for g in sim.spawned_generators(seed, 0, populations):
+        pop = sm.sample_population(model, n, seed=g)
+        out.append(_exact_objective_reference(pop, tau, m, flag_seed))
+        assert sim.exact_objective_random(pop, tau, m, P, flag_seed=flag_seed).hex() == out[-1].hex()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_COHORT_MODELS))
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1600, 5000])
+def test_exact_objectives_bitwise_one_cohort_at_a_time(name, n, monkeypatch):
+    model = _COHORT_MODELS[name]()
+    m = max(1, n // 5)
+    step = max(1, sim._BLOCK_CELLS // n)
+    for k in sorted({0, 1, n - 1, n}):
+        tau = (n - k) / n
+        assert sm.flagged_count(n, tau) == k
+        for block_cells, populations in ((None, min(step + 3, 40)), (3 * n, 8)):
+            if block_cells is not None:  # blocks of 3 cohorts
+                monkeypatch.setattr(sim, "_BLOCK_CELLS", block_cells)
+            got = sim.exact_objectives_random(
+                model, n, tau, m, P, seed=(9, n), populations=populations, flag_seed=4,
+            )
+            ref = _exact_per_cohort(model, n, tau, m, (9, n), populations, 4)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref], (k, block_cells)
+            monkeypatch.undo()
+
+
+def test_exact_objectives_spans_several_blocks():
+    # 327 cohorts of 100 fill a block: 700 take three, the last one partial
+    model = _COHORT_MODELS["mixture_noisy_0.1"]()
+    got = sim.exact_objectives_random(model, 100, 0.73, 20, P, seed=5, populations=700, flag_seed=2)
+    ref = _exact_per_cohort(model, 100, 0.73, 20, 5, 700, 2)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref]
+
+
+def test_exact_objectives_checks_like_the_one_cohort_oracle():
+    model = sm.Analytic(_MIX)
+    assert sim.exact_objectives_random(model, 10, 0.5, 0, P, seed=1, populations=3).tolist() == [0.0] * 3
+    for n in (0, sim.EXACT_BUDGET + 1):
+        with pytest.raises(ValueError, match="exact oracle"):
+            sim.exact_objectives_random(model, n, 0.5, 2, P, seed=1, populations=3)
+    with pytest.raises(ValueError, match="tau must be in"):
+        sim.exact_objectives_random(model, 10, 1.5, 2, P, seed=1, populations=3)
+
+
 # --- fluid upper bound -------------------------------------------------------------
 #
 # The bound is exact only in the large-system limit; at finite n several cells sit
