@@ -22,16 +22,16 @@ Thresholds implemented here:
 Everything is a pure function of immutable inputs.  The objective has one
 array form, ``_objective_grid``, with the elementwise arithmetic of the scalar
 ``fluid_objective``; the grid oracle and every sweep evaluate W through it.
-Both roots, the score-optimal threshold and the critical baseline, come from
-one root-finder, ``_bisect``, which halves any number of intervals in lockstep
-and answers several halvings with each evaluation of its test.
+Both analytic roots, the score-optimal threshold and the critical baseline,
+come from one bracketing root-finder, ``_chandrupatla``, run to a bracket two
+ulp wide; corpora bisect their critical baseline with ``_bisect``.
 A sweep is solved as a whole rather than point by point: the score-optimal
-thresholds of all its p0 values in one lockstep bisection, and both
-objectives of every point from one grid of tail means and one
-``_objective_grid`` call.  Each result is bitwise the single-point one,
-whatever else the sweep holds and in whatever order.  Every point is checked,
-and its thresholds found, before any objective is evaluated, so an invalid
-point raises before any other work.
+thresholds of all its p0 values in one lockstep solve, and both objectives of
+every point from one grid of tail means and one ``_objective_grid`` call.
+Each result is bitwise the single-point one, whatever else the sweep holds
+and in whatever order.  Every point is checked, and its thresholds found,
+before any objective is evaluated, so an invalid point raises before any
+other work.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .score_model import (
     mean_true_score,
 )
 
-BISECT_TOL = 1e-8
 DEFAULT_GRID = 2001
 
 
@@ -247,8 +246,8 @@ def first_order_condition(model: JointScoreModel, params: BehavioralParams, tau:
     """
     if params.delta_p == 0:
         raise ValueError("nudge has no effect; score-optimal undefined")
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be in [0, 1), got {tau}")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
     return float(_foc_grid(model, np.array([params.p0 / params.delta_p]), np.array([tau]))[0])
 
 
@@ -283,17 +282,15 @@ _GRID_TAILS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def score_optimal_threshold(model: JointScoreModel, params: BehavioralParams) -> float:
     """Threshold maximizing efficacy per served slot.
 
-    Analytic models: bisection on the first-order condition to an interval of
-    1e-8, clamped to 1 when p0 = 0, to 0 when H(0) <= 0 and to 1 when
-    H(1) >= 0.  Empirical models: argmax of fluid_efficacy on the uniform
-    ``DEFAULT_GRID``-point tau grid, smallest tau on ties.  Results are cached
-    per model and (p0, delta_p).
+    Analytic models: the root of the first-order condition H to full double
+    precision (see ``_chandrupatla``), clamped to 1 when p0 = 0, to 0 when
+    H(0) <= 0 and to 1 when H(1) >= 0.  Empirical models: argmax of
+    fluid_efficacy on the uniform ``DEFAULT_GRID``-point tau grid, smallest
+    tau on ties.  Results are cached per model and (p0, delta_p).
 
-    A p0 sweep solves all its points together (see ``gap_curve``): the
-    bisections run in lockstep, each on the midpoints of its own
-    single-point bisection, so each result is bitwise this single-point
-    solve.  Each H evaluation answers several halvings at once (see
-    ``_bisect``): one point's solve takes 10 of them, not 29.
+    A p0 sweep solves all its points together (see ``gap_curve``), each
+    point on its own iterates, so each result is bitwise this single-point
+    solve.
     """
     return _score_optimal_thresholds(model, [params.p0], params.delta_p)[0]
 
@@ -302,7 +299,7 @@ def _score_optimal_thresholds(model: JointScoreModel, p0s, delta_p: float) -> li
     """score_optimal_threshold at each p0 of a list, at one delta_p.
 
     The uncached p0 values are solved together: analytic models in one
-    lockstep bisection, corpora on one grid of tail means.
+    lockstep root-finding, corpora on one grid of tail means.
     """
     if delta_p == 0:
         raise ValueError("nudge has no effect; score-optimal undefined")
@@ -313,20 +310,16 @@ def _score_optimal_thresholds(model: JointScoreModel, p0s, delta_p: float) -> li
     if live and is_empirical(model):
         solved = dict(zip(live, _empirical_score_optimal(model, live, delta_p)))
     elif live:
-        solved = dict(zip(live, _bisect_score_optimal(model, live, delta_p)))
+        solved = dict(zip(live, _analytic_score_optimal(model, live, delta_p)))
     for p0 in todo:
         per_model[p0, delta_p] = solved.get(p0, 1.0)
     return [per_model[p0, delta_p] for p0 in p0s]
 
 
-def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
-    """Bisection on H for every p0 at once, clamped to 0 where H(0) <= 0 and
-    to 1 where H(1) >= 0.
-
-    Every interval starts at [0, 1], so all share one dyadic width, run the
-    same number of steps and visit the midpoints of their own single-point
-    bisection.  H(0) and H(1) come from one grid evaluation of H, and so
-    does each batch of ``_bisect`` halvings, ``_tree_levels`` deep.
+def _analytic_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
+    """The root of H in [0, 1] for every p0 at once, clamped to 0 where
+    H(0) <= 0 and to 1 where H(1) >= 0.  H(0) and H(1) come from one grid
+    evaluation of H.
     """
     ratio = np.array(p0s) / delta_p
     ends = np.repeat([0.0, 1.0], ratio.size)
@@ -334,51 +327,53 @@ def _bisect_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> 
     tau = np.where(h0 <= 0.0, 0.0, 1.0)
     rest = np.flatnonzero((h0 > 0.0) & (h1 < 0.0))
     if rest.size:
-        levels = _tree_levels(model, rest.size)
-        ratio = np.tile(ratio[rest], 2**levels - 1)  # one run per tree node
+        ratio = ratio[rest]
         lo, hi = np.zeros(rest.size), np.ones(rest.size)
-        tau[rest] = _bisect(lambda mid: _foc_grid(model, ratio, mid) > 0.0, lo, hi, BISECT_TOL, levels)
+        tau[rest] = _chandrupatla(lambda i, x: _foc_grid(model, ratio[i], x), lo, hi, h0[rest], h1[rest])
     return tau.tolist()
 
 
-def _tree_levels(model: JointScoreModel, width: int) -> int:
-    """How many halvings one ``_bisect`` call of ``up`` answers for ``width``
-    intervals: 3 for one interval, and 1 for a lockstep of several or on a
-    corpus.
+def _chandrupatla(f, x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """A root of f in each bracket [x1, x2], given f1 = f(x1) and f2 = f(x2)
+    of opposite signs, by Chandrupatla's method (Adv. Eng. Software 28(3),
+    1997): inverse quadratic interpolation through the bracket's ends and the
+    point last dropped from it where their values make that safe, else
+    bisection.
 
-    A call of H costs a fixed part plus a part per point, so the best depth
-    falls as the width grows, and faster on the noisy predictor, whose
-    points cost more (BENCH_bisect_batch.json, ``depth_by_width``).  For one
-    interval, 3 levels is within 5% of the fastest depth measured on the
-    perfect and the sigma = 0.1 predictor.  A lockstep takes one depth
-    whatever its width, so that a sweep's calls of H do not grow with its
-    points.  It takes 1: 2 levels is faster up to about 20 intervals (by
-    12-19% at 11) but 17-33% slower on noisy sweeps of 41-81 points.  A
-    corpus takes 1, as each of its points costs a full grid argmax.
+    ``f(i, x)`` returns f of the elements with indices i at the points x.
+    Each element iterates on its own, so its result does not depend on the
+    others, and leaves the live set once f is 0 at its new point or its
+    bracket is at most two ulp of its larger end wide.  The result is the end
+    with the smaller |f|.
     """
-    if width > 1 or is_empirical(model):
-        return 1
-    return 3
+    out = np.empty(x1.size)
+    live, t = np.arange(x1.size), 0.5
+    while live.size:
+        xt = x1 + t * (x2 - x1)
+        ft = f(live, xt)
+        same = np.sign(ft) == np.sign(f1)  # the root lies between xt and x2
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the least step, one ulp of the larger end, as a fraction of the bracket
+            tl = np.spacing(np.maximum(np.abs(x1), np.abs(x2))) / np.abs(x2 - x1)
+            done = (tl >= 0.5) | (f1 == 0.0)
+            out[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+            live, x1, x2, x3, f1, f2, f3, tl = (v[~done] for v in (live, x1, x2, x3, f1, f2, f3, tl))
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+            t_iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+            t = np.clip(np.where(iqi, t_iqi, 0.5), tl, 1.0 - tl)
+    return out
 
 
-def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float, levels: int) -> np.ndarray:
+def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Midpoints of intervals [lo, hi] halved in lockstep until the widest is
     at most tol, each keeping its upper half where ``up(mid)`` holds.  The
     halving also stops once every midpoint equals an end of its interval,
     which a tol below one ulp of the root would otherwise never reach.
-
-    Each call of ``up`` answers the next ``levels`` halvings: it gets every
-    midpoint those halvings could visit, the 2**levels - 1 nodes of a binary
-    tree per interval, as one 1-d array of whole levels in order, each node a
-    run of one value per interval, and returns a boolean array of the same
-    size.  At 1 level that array is the midpoints themselves.  Every node is
-    0.5 * (lo + hi) of the same floats as one halving at a time, and the walk
-    down the tree halves exactly as that loop does, with its stop rule
-    checked before each level, so for an elementwise ``up`` each result is
-    bitwise the one-midpoint-per-call bisection's.
     """
-    width = lo.size
-    rows = np.arange(width)
     last = math.inf
     while (widest := np.max(hi - lo)) > tol:
         mid = 0.5 * (lo + hi)
@@ -386,20 +381,9 @@ def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float, levels: int) -> np.n
         if widest == last and not ((lo < mid) & (mid < hi)).any():
             break
         last = widest
-        tree, a, b = [mid], lo, hi
-        for _ in range(1, levels):
-            # on a level of k nodes, node j's halves are nodes j (lower) and j + k (upper) one level down
-            a, b = np.concatenate((a, tree[-1])), np.concatenate((tree[-1], b))
-            tree.append(0.5 * (a + b))
-        go_up = up(mid if levels == 1 else np.concatenate(tree))
-        go, node = go_up[:width], 0  # node 0: the root, mid
-        for depth in range(1, levels + 1):
-            lo = np.where(go, mid, lo)
-            hi = np.where(go, hi, mid)
-            if depth == levels or not np.max(hi - lo) > tol:
-                break
-            node += (1 + go) << (depth - 1)  # the next level's node, counted over the whole tree
-            mid, go = 0.5 * (lo + hi), go_up[node * width + rows]
+        go_up = up(mid)
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -459,13 +443,13 @@ def two_point_threshold(rho: float, model: JointScoreModel, params: BehavioralPa
 def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> float:
     """Smallest p0 at which the score-optimal threshold starts to bind.
 
-    The score-optimal threshold binds when tau_score(p0) <= tau_c(p0).  One
-    ``_bisect`` over p0 in [0, 1 - delta_p] tests, for analytic models, the
-    sign of the first-order condition at the capacity-matching threshold:
-    H(.; p0) is strictly decreasing in tau, so H(tau_c(p0); p0) > 0 exactly
-    when tau_score(p0) > tau_c(p0), and no score-optimal solve is needed.
-    Empirical corpora, whose score-optimal threshold is a grid argmax,
-    compare tau_score(p0) with tau_c(p0) itself.  Returns 0 if the threshold
+    The score-optimal threshold binds when tau_score(p0) <= tau_c(p0).  For
+    analytic models H(.; p0) is strictly decreasing in tau, so
+    g(p0) = H(tau_c(p0); p0) > 0 exactly when tau_score(p0) > tau_c(p0), and
+    ``_chandrupatla`` finds the root of the continuous g over p0 in
+    [0, 1 - delta_p] with no score-optimal solve.  Empirical corpora, whose
+    score-optimal threshold is a grid argmax, bisect on the comparison of
+    tau_score(p0) with tau_c(p0) itself, to 1e-9.  Returns 0 if the threshold
     already binds at p0 = 0 and 1 - delta_p if it never binds, as at
     rho >= 1, where capacity covers everyone who could request.
     """
@@ -475,18 +459,31 @@ def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> flo
         raise ValueError("delta_p must be in (0, 1]")
     p_max = 1.0 - delta_p
 
-    def unbound(p0: np.ndarray) -> np.ndarray:
-        tau_c = np.minimum(1.0, np.maximum(0.0, 1.0 - (rho - p0) / delta_p))  # capacity_matching_threshold
-        if is_empirical(model):
-            return np.array(_score_optimal_thresholds(model, p0.tolist(), delta_p)) > tau_c
-        return _foc_grid(model, p0 / delta_p, tau_c) > 0.0
+    def tau_c(p0: np.ndarray) -> np.ndarray:
+        return np.minimum(1.0, np.maximum(0.0, 1.0 - (rho - p0) / delta_p))  # capacity_matching_threshold
 
     # tau_score(0) = 1 binds exactly where tau_c(0) rounds to 1; delta_p = 1 leaves only p0 = 0
     if p_max == 0.0 or 1.0 - rho / delta_p >= 1.0:
         return 0.0
-    if unbound(np.array([p_max]))[0]:
+    if is_empirical(model):
+
+        def unbound(p0: np.ndarray) -> np.ndarray:
+            return np.array(_score_optimal_thresholds(model, p0.tolist(), delta_p)) > tau_c(p0)
+
+        if unbound(np.array([p_max]))[0]:
+            return p_max
+        return float(_bisect(unbound, np.zeros(1), np.array([p_max]), 1e-9)[0])
+
+    def g(i, p0: np.ndarray) -> np.ndarray:
+        return _foc_grid(model, p0 / delta_p, tau_c(p0))
+
+    ends = np.array([0.0, p_max])
+    g_ends = g(None, ends)
+    if g_ends[1] > 0.0:
         return p_max
-    return float(_bisect(unbound, np.zeros(1), np.array([p_max]), 1e-9, _tree_levels(model, 1))[0])
+    if g_ends[0] <= 0.0:
+        return 0.0
+    return float(_chandrupatla(g, ends[:1], ends[1:], g_ends[:1], g_ends[1:])[0])
 
 
 def max_relative_gap_capacity_matching(
@@ -529,7 +526,7 @@ def gap_curve(
     is defined as 0 at degenerate points where W(tau*) = 0.
 
     The sweep is solved as a whole: a p0 sweep's score-optimal thresholds in
-    one lockstep bisection, then every objective from one grid of tail means
+    one lockstep solve, then every objective from one grid of tail means
     and one ``_objective_grid`` call.  Each value is bitwise the one a
     point-by-point evaluation gives.  Every point is checked, and its
     thresholds found, before any objective is evaluated.

@@ -532,6 +532,8 @@ def exact_objectives_random(
     """
     if not 1 <= n <= EXACT_BUDGET:
         raise ValueError(f"n must be in [1, {EXACT_BUDGET}] for the exact oracle; use Monte Carlo above")
+    if populations < 1:
+        raise ValueError("populations must be >= 1")
     out = np.empty(populations)
     step = max(1, _BLOCK_CELLS // n)
     rngs = spawned_generators(seed, 0, populations)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import capthresh
 from capthresh import (
@@ -14,6 +15,11 @@ from capthresh import (
     Perfect,
     Uniform01,
 )
+
+# every run draws the same examples and writes no example database, so a
+# Tier-1 run locally and in CI checks exactly the same cases
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 MIX_COMPONENTS = ((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))
 
@@ -115,3 +121,15 @@ def averaged_exact_objective(model, n, m, params, taus, n_pops, seed):
         means[t] = float(per_cohort.mean())
         ses[t] = float(per_cohort.std(ddof=1) / np.sqrt(n_pops))
     return means, ses
+
+
+def scalar_bisection(up, lo, hi, tol=0.0):
+    """Bisection of [lo, hi], keeping the upper half where ``up(mid)``, until it
+    is at most tol wide or its ends are adjacent floats; returns the midpoint."""
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if up(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -158,7 +158,8 @@ def test_opauc_without_candidates_reports_the_model(tmp_path, capsys):
     ]
     assert csv_path.read_text(encoding="utf-8").splitlines() == [
         "candidate,rho,weight,tau_star,tpr,integrand",
-        "model,0.2,0.5,0.710102048,0.495755082,0.284040821",
+        # tau_star = 1.2 - sqrt(0.24) = 0.71010205144 and tpr = 1 - tau_star^2
+        "model,0.2,0.5,0.710102051,0.495755077,0.284040821",
         "model,0.4,0.5,0.4,0.84,0.52",
     ]
     assert json.loads(json_path.read_text(encoding="utf-8")) == {

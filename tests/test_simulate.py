@@ -466,6 +466,9 @@ def test_exact_objectives_checks_like_the_one_cohort_oracle():
             sim.exact_objectives_random(model, n, 0.5, 2, P, seed=1, populations=3)
     with pytest.raises(ValueError, match="tau must be in"):
         sim.exact_objectives_random(model, 10, 1.5, 2, P, seed=1, populations=3)
+    for populations in (0, -1):
+        with pytest.raises(ValueError, match="populations must be >= 1"):
+            sim.exact_objectives_random(model, 10, 0.5, 2, P, seed=1, populations=populations)
 
 
 # --- fluid upper bound -------------------------------------------------------------
