@@ -25,9 +25,11 @@ array form, ``_objective_grid``, with the elementwise arithmetic of the scalar
 Both analytic roots, the score-optimal threshold and the critical baseline,
 come from one bracketing root-finder, ``_chandrupatla``, run to a bracket two
 ulp wide; corpora bisect their critical baseline with ``_bisect``.
-A sweep is solved as a whole rather than point by point: the score-optimal
-thresholds of all its p0 values in one lockstep solve, and both objectives of
+A sweep is solved as a whole rather than point by point: its two-point
+thresholds in one array pass, ``_two_point_thresholds`` (the score-optimal
+thresholds of all its p0 values in one lockstep solve), and both objectives of
 every point from one grid of tail means and one ``_objective_grid`` call.
+OpAUC takes the two-point thresholds of all its capacity nodes the same way.
 Each result is bitwise the single-point one, whatever else the sweep holds
 and in whatever order.  Every point is checked, and its thresholds found,
 before any objective is evaluated, so an invalid point raises before any
@@ -347,24 +349,27 @@ def _chandrupatla(f, x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndar
     with the smaller |f|.
     """
     out = np.empty(x1.size)
-    live, t = np.arange(x1.size), 0.5
+    live, t, dx = np.arange(x1.size), 0.5, x2 - x1
     while live.size:
-        xt = x1 + t * (x2 - x1)
+        xt = x1 + t * dx
         ft = f(live, xt)
         same = np.sign(ft) == np.sign(f1)  # the root lies between xt and x2
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = xt, ft
+        dx = x2 - x1
         with np.errstate(divide="ignore", invalid="ignore"):
             # the least step, one ulp of the larger end, as a fraction of the bracket
-            tl = np.spacing(np.maximum(np.abs(x1), np.abs(x2))) / np.abs(x2 - x1)
+            tl = np.spacing(np.maximum(np.abs(x1), np.abs(x2))) / np.abs(dx)
             done = (tl >= 0.5) | (f1 == 0.0)
-            out[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
-            live, x1, x2, x3, f1, f2, f3, tl = (v[~done] for v in (live, x1, x2, x3, f1, f2, f3, tl))
+            if done.any():  # the live set shrinks only on such a step
+                out[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+                keep = ~done
+                live, x1, x2, x3, f1, f2, f3, tl, dx = (v[keep] for v in (live, x1, x2, x3, f1, f2, f3, tl, dx))
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
-            t_iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
-            t = np.clip(np.where(iqi, t_iqi, 0.5), tl, 1.0 - tl)
+            t_iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / dx * f1 / (f3 - f1) * f2 / (f3 - f2)
+            t = np.minimum(np.maximum(np.where(iqi, t_iqi, 0.5), tl), 1.0 - tl)
     return out
 
 
@@ -440,6 +445,23 @@ def two_point_threshold(rho: float, model: JointScoreModel, params: BehavioralPa
     )
 
 
+def _capacity_matching_thresholds(rho, p0, delta_p: float) -> np.ndarray:
+    """capacity_matching_threshold at delta_p > 0, with the same elementwise
+    arithmetic; rho and p0 broadcast."""
+    return np.minimum(1.0, np.maximum(0.0, 1.0 - (rho - p0) / delta_p))
+
+
+def _two_point_thresholds(rho, model: JointScoreModel, p0, delta_p: float) -> np.ndarray:
+    """two_point_threshold at each (rho, p0) of broadcast arrays at one
+    delta_p, bitwise the scalar; the score-optimal thresholds of all p0 values
+    come from one ``_score_optimal_thresholds`` call."""
+    rho, p0 = np.asarray(rho, dtype=float), np.asarray(p0, dtype=float)
+    if not (rho > 0).all():
+        raise ValueError("rho must be positive")
+    tau_s = np.reshape(_score_optimal_thresholds(model, p0.ravel().tolist(), delta_p), p0.shape)
+    return np.minimum(tau_s, _capacity_matching_thresholds(rho, p0, delta_p))
+
+
 def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> float:
     """Smallest p0 at which the score-optimal threshold starts to bind.
 
@@ -460,7 +482,7 @@ def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> flo
     p_max = 1.0 - delta_p
 
     def tau_c(p0: np.ndarray) -> np.ndarray:
-        return np.minimum(1.0, np.maximum(0.0, 1.0 - (rho - p0) / delta_p))  # capacity_matching_threshold
+        return _capacity_matching_thresholds(rho, p0, delta_p)
 
     # tau_score(0) = 1 binds exactly where tau_c(0) rounds to 1; delta_p = 1 leaves only p0 = 0
     if p_max == 0.0 or 1.0 - rho / delta_p >= 1.0:
@@ -525,9 +547,10 @@ def gap_curve(
     is W(tau*) - W(tau_policy) >= 0; the relative gap divides by W(tau*) and
     is defined as 0 at degenerate points where W(tau*) = 0.
 
-    The sweep is solved as a whole: a p0 sweep's score-optimal thresholds in
-    one lockstep solve, then every objective from one grid of tail means
-    and one ``_objective_grid`` call.  Each value is bitwise the one a
+    The sweep is solved as a whole: its two-point thresholds in one array
+    pass (a p0 sweep's score-optimal thresholds in one lockstep solve), then
+    every objective from one grid of tail means and one ``_objective_grid``
+    call.  Each value is bitwise the one a
     point-by-point evaluation gives.  Every point is checked, and its
     thresholds found, before any objective is evaluated.
     """
@@ -540,18 +563,25 @@ def gap_curve(
     xs = [float(x) for x in grid]
     if axis == "rho":
         setups = [(x, params) for x in xs]
+        rhos, p0s = np.array(xs), params.p0
     else:
         setups = [(rho, BehavioralParams(x, params.delta_p)) for x in xs]
-        if rho > 0:  # one lockstep solve of every p0; the thresholds below read its cache
-            _score_optimal_thresholds(model, xs, params.delta_p)
-    plans = [(two_point_threshold(r, model, p), policy.threshold(r, model, p)) for r, p in setups]
+        rhos, p0s = rho, np.array(xs)
+    try:  # the two-point column in one array pass, a p0 sweep's in one lockstep solve
+        stars = _two_point_thresholds(rhos, model, p0s, params.delta_p) if xs else np.empty(0)
+    except ValueError:  # raise what the first point to fail raises point by point
+        for r, p in setups:
+            two_point_threshold(r, model, p)
+            policy.threshold(r, model, p)
+        raise
+    pols = [policy.threshold(r, model, p) for r, p in setups]
     # both objectives of every point from one grid of tail means
-    taus = np.array(plans).reshape(-1, 2)
+    taus = np.stack([stars, np.array(pols, dtype=float)], axis=1)
     cols = np.array([(r * n, p.p0) for r, p in setups]).reshape(-1, 2)
     cma = conditional_mean_above_grid(model, taus.ravel()).reshape(taus.shape)
     values = _objective_grid(taus, cma, mean_true_score(model), n, cols[:, :1], cols[:, 1:], params.delta_p)
     points = []
-    for x, (tau_star, tau_pol), (w_star, w_pol) in zip(xs, plans, values.tolist()):
+    for x, tau_star, tau_pol, (w_star, w_pol) in zip(xs, stars.tolist(), pols, values.tolist()):
         if math.isnan(w_star) or math.isnan(w_pol):  # a threshold in an empty tail
             raise ValueError("empty tail")
         gap = w_star - w_pol

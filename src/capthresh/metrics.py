@@ -23,9 +23,9 @@ import numpy as np
 
 from .fluid import (
     BehavioralParams,
+    _two_point_thresholds,
     capacity_matching_threshold,
     score_optimal_threshold,
-    two_point_threshold,
 )
 from .score_model import JointScoreModel, mean_true_score, tpr_grid
 
@@ -158,15 +158,16 @@ def _rows(
 ) -> list[tuple[float, float, float, float, float]]:
     """(rho, weight, tau_star, tpr, integrand) at each node of mu, in node order.
 
-    tau_star is each node's (cached) two-point threshold, and one tpr_grid
-    call gives every TPR, bitwise the scalar tpr_at.
+    One array pass gives every node's two-point threshold, bitwise the scalar
+    two_point_threshold, and one tpr_grid call every TPR, bitwise the scalar
+    tpr_at.
     """
     nodes = _mu_nodes(mu)
-    taus = [two_point_threshold(rho, model, params) for rho, _ in nodes]
-    tprs = tpr_grid(model, np.array(taus)).tolist()
+    taus = _two_point_thresholds(np.array([rho for rho, _ in nodes]), model, params.p0, params.delta_p)
+    tprs = tpr_grid(model, taus).tolist()
     return [
         (rho, w, tau, tpr, rho * (params.p0 + params.delta_p * tpr) / (params.p0 + params.delta_p * (1.0 - tau)))
-        for (rho, w), tau, tpr in zip(nodes, taus, tprs)
+        for (rho, w), tau, tpr in zip(nodes, taus.tolist(), tprs)
     ]
 
 

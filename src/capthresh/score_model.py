@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln, ndtr, xlog1py, xlogy
 
 # Quantile solves start from interpolation in a cdf table on evenly spaced
 # points of [0, 1].  A closed-form cdf makes a fine table cheap, and most
@@ -57,6 +56,22 @@ _MAX_SIGMA = 1e3
 # 100 draws the search wins (BENCH_cohort_draws.json).  The cap also keeps the
 # uint8 counts exact.
 _COMPARE_DRAWS_PER_CUT, _COMPARE_COMPONENTS = 512, 64
+
+
+class _Special:
+    """``scipy.special``, imported on first use: corpora need none of it, and
+    the import takes about 0.2 s.  A ufunc is stored on the instance on first
+    access, so later lookups are plain attribute reads."""
+
+    def __getattr__(self, name: str):
+        import scipy.special
+
+        ufunc = getattr(scipy.special, name)
+        setattr(self, name, ufunc)
+        return ufunc
+
+
+_special = _Special()
 
 
 def _beta_gauss(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,18 +243,18 @@ class BetaMixture:
         xc = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), 1.0)
         out = 0.0
         for w, a, b in self.components:
-            out = out + w * betainc(a, b, xc)
+            out = out + w * _special.betainc(a, b, xc)
         return out
 
     @cached_property
     def _log_norms(self) -> tuple[float, ...]:
-        return tuple(math.log(w) - betaln(a, b) if w > 0 else -math.inf for w, a, b in self.components)
+        return tuple(math.log(w) - _special.betaln(a, b) if w > 0 else -math.inf for w, a, b in self.components)
 
     def _density(self, x: np.ndarray) -> np.ndarray:
         """The density in closed form on [0, 1]."""
         density = 0.0
         for (_, a, b), c in zip(self.components, self._log_norms):
-            density = density + np.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) + c)
+            density = density + np.exp(_special.xlogy(a - 1.0, x) + _special.xlog1py(b - 1.0, -x) + c)
         return density
 
     def _cdf_and_density(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +280,7 @@ class BetaMixture:
         q = np.minimum(np.maximum(np.asarray(q, dtype=float), 0.0), 1.0)
         out = 0.0
         for w, a, b in self.components:
-            out = out + w * a / (a + b) * betaincc(a + 1.0, b, q)
+            out = out + w * a / (a + b) * _special.betaincc(a + 1.0, b, q)
         return out
 
     @cached_property
@@ -446,9 +461,18 @@ class _Engine:
 
 def _memoized(cache: dict, solve, taus: np.ndarray) -> np.ndarray:
     """solve(taus) elementwise, reusing values cached per tau and caching new
-    ones; a tau repeated in ``taus`` is solved once."""
+    ones; a tau repeated in ``taus`` is solved once.
+
+    When every tau is new and distinct (0.0 and -0.0 are one tau), as on
+    every root-finder step and every first grid call, ``solve`` runs on
+    ``taus`` as given and its own array is returned.
+    """
     keys = taus.tolist()
     miss = list(dict.fromkeys(t for t in keys if t not in cache))
+    if miss and len(miss) == len(keys):
+        values = solve(np.asarray(taus, dtype=float))
+        cache.update(zip(keys, values.tolist()))
+        return values
     if miss:
         cache.update(zip(miss, solve(np.array(miss)).tolist()))
     return np.array([cache[t] for t in keys], dtype=float)
@@ -507,7 +531,7 @@ class _PerfectEngine(_AnalyticEngine):
 
 
 def _upper_normal(z: np.ndarray) -> np.ndarray:
-    return 1.0 - ndtr(z)
+    return 1.0 - _special.ndtr(z)
 
 
 def _normal_kernel(z: np.ndarray) -> np.ndarray:
@@ -566,10 +590,10 @@ class _NoisyEngine(_AnalyticEngine):
 
     def _cdf_hat(self, s: np.ndarray) -> np.ndarray:
         # P(r + eps <= s); the r_hat law has atom P(. <= 0) at zero.
-        return self._quad(s, (self._mass, ndtr))[0]
+        return self._quad(s, (self._mass, _special.ndtr))[0]
 
     def _cdf_and_density(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cdf, kernel = self._quad(s, (self._mass, ndtr), (self._mass, _normal_kernel))
+        cdf, kernel = self._quad(s, (self._mass, _special.ndtr), (self._mass, _normal_kernel))
         return cdf, kernel / (self.sigma * math.sqrt(2.0 * math.pi))
 
     @cached_property
@@ -587,8 +611,8 @@ class _NoisyEngine(_AnalyticEngine):
     @cached_property
     def _low_tail(self) -> tuple[float, float]:
         # tail mass at q = 0: all of r_hat > 0, and the atom at zero
-        above = float(np.sum(self._node_values * ndtr(self._nodes / self.sigma)))
-        at_zero = float(np.sum(self._node_values * ndtr(-self._nodes / self.sigma)))
+        above = float(np.sum(self._node_values * _special.ndtr(self._nodes / self.sigma)))
+        at_zero = float(np.sum(self._node_values * _special.ndtr(-self._nodes / self.sigma)))
         return above, at_zero
 
     def _quantiles(self, taus: np.ndarray) -> np.ndarray:
@@ -633,7 +657,7 @@ class _NoisyEngine(_AnalyticEngine):
         return out
 
     def cond_mean_top(self) -> float:
-        top = float(np.sum(self._node_values * (1.0 - ndtr((1.0 - self._nodes) / self.sigma))))
+        top = float(np.sum(self._node_values * (1.0 - _special.ndtr((1.0 - self._nodes) / self.sigma))))
         return top / self._atom_high
 
     def _observe(self, rng: np.random.Generator, r: np.ndarray) -> np.ndarray:

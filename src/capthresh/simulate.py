@@ -54,7 +54,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special._ufuncs import _binom_pmf as _binom_pmf_ufunc
 
 from .fluid import BehavioralParams, ThresholdPolicy, fluid_demand
 from .score_model import JointScoreModel, Population, _engine, _tau_grid, flagged_count, flagged_counts
@@ -438,10 +437,13 @@ def grid_oracle(
 
 def _binom_pmf(k: int, p: float) -> np.ndarray:
     # scipy.stats.binom.pmf's own ufunc, bitwise equal to it for 0 <= p <= 1,
-    # without the 1 s import of scipy.stats
+    # without the 1 s import of scipy.stats; imported here, as corpus models
+    # need no scipy
+    from scipy.special._ufuncs import _binom_pmf
+
     if k == 0:
         return np.ones(1)
-    return _binom_pmf_ufunc(np.arange(k + 1), k, p)
+    return _binom_pmf(np.arange(k + 1), k, p)
 
 
 def _request_count_pmf(k_flagged: int, k_unflagged: int, params: BehavioralParams) -> np.ndarray:

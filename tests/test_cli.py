@@ -271,6 +271,31 @@ def test_plan_commands_leave_scipy_stats_unloaded(tmp_path, cli_env):
     assert proc.stdout.splitlines()[-1] == "scipy.stats loaded: False"
 
 
+def test_corpus_commands_leave_scipy_special_unloaded(tmp_path, cli_env):
+    # corpus models use none of scipy.special, which the analytic models import on first use
+    corpus = {"kind": "empirical_labeled", "path": str(DEMO_SCENARIOS / "tied_corpus.csv"), "tie_seed": 11}
+    scn = _scenario(
+        tmp_path, model=corpus, mu={"kind": "uniform_ratio", "lo": 0.05, "hi": 0.4},
+        sweep={"axis": "p0", "lo": 0.02, "hi": 0.45, "points": 5, "simulate": False},
+    )
+    script = textwrap.dedent(f"""
+        import sys
+        import capthresh
+        from capthresh import cli
+        print("after import:", "scipy.special" in sys.modules)
+        for command in ("threshold", "sweep", "opauc"):
+            assert cli.execute([command, "--scenario", {str(scn)!r}]) == 0
+        print("scipy.special loaded:", "scipy.special" in sys.modules)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "after import: False"
+    assert lines[-1] == "scipy.special loaded: False"
+
+
 def test_oracle_output(tmp_path, capsys):
     scn = _scenario(tmp_path)
     code, out = _run(capsys, "oracle", "--scenario", str(scn))

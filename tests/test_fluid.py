@@ -819,6 +819,76 @@ def test_lockstep_roots_are_the_single_point_roots_to_the_last_bit(monkeypatch, 
         assert _within_4_ulp(got, ref, _tau_c_at(rho, ref, P.delta_p)), rho
 
 
+def _chandrupatla_reference(f, x1, x2, f1, f2):
+    """Chandrupatla's method as a plain loop: every step re-indexes the live
+    set, forms x2 - x1 three times and clips with np.clip."""
+    out = np.empty(x1.size)
+    live, t = np.arange(x1.size), 0.5
+    while live.size:
+        xt = x1 + t * (x2 - x1)
+        ft = f(live, xt)
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tl = np.spacing(np.maximum(np.abs(x1), np.abs(x2))) / np.abs(x2 - x1)
+            done = (tl >= 0.5) | (f1 == 0.0)
+            out[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+            live, x1, x2, x3, f1, f2, f3, tl = (v[~done] for v in (live, x1, x2, x3, f1, f2, f3, tl))
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+            t_iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+            t = np.clip(np.where(iqi, t_iqi, 0.5), tl, 1.0 - tl)
+    return out
+
+
+def _traced_solves(solver, f, x1, x2, f1, f2):
+    """solver's roots, and every (indices, points) it evaluated f at, in order."""
+    trace = []
+
+    def traced(i, x):
+        trace.append((np.array(i).tolist(), [v.hex() for v in np.asarray(x).tolist()]))
+        return f(i, x)
+
+    roots = solver(traced, x1.copy(), x2.copy(), f1.copy(), f2.copy())
+    return [v.hex() for v in roots.tolist()], trace
+
+
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_MODELS))
+def test_chandrupatla_takes_the_reference_steps(name):
+    # the same f calls at the same points in the same order, and the same
+    # roots, while elements leave the live set on different steps
+    model = _LOCKSTEP_MODELS[name]()
+    p0s = np.linspace(0.45, 0.02, 12)
+    for width in (1, 3, 12):
+        ratio = p0s[:width] / P.delta_p
+        h0, h1 = fl._foc_grid(model, np.r_[ratio, ratio], np.repeat([0.0, 1.0], width)).reshape(2, -1)
+
+        def f(i, x):
+            return fl._foc_grid(model, ratio[i], x)
+
+        ends = (np.zeros(width), np.ones(width), h0, h1)
+        got = _traced_solves(fl._chandrupatla, f, *ends)
+        assert got == _traced_solves(_chandrupatla_reference, f, *ends), width
+    for rho in (0.05, 0.2):
+
+        def g(i, p0):
+            return fl._foc_grid(model, p0 / P.delta_p, fl._capacity_matching_thresholds(rho, p0, P.delta_p))
+
+        ends = np.array([0.0, 1.0 - P.delta_p])
+        g_ends = g(None, ends)
+        args = (ends[:1], ends[1:], g_ends[:1], g_ends[1:])
+        assert _traced_solves(fl._chandrupatla, g, *args) == _traced_solves(_chandrupatla_reference, g, *args), rho
+
+
+def test_perfect_score_optimal_solve_takes_13_foc_calls(monkeypatch):
+    # H(0) and H(1) in one call, then one call per root-finding step
+    calls = _count_foc_grid_calls(monkeypatch)
+    fl.score_optimal_threshold(_LOCKSTEP_MODELS["perfect"](), fl.BehavioralParams(0.1, 0.5))
+    assert len(calls) == 13
+
+
 def test_batched_score_optimal_clamps(monkeypatch):
     """H(0) <= 0 clamps to 0 and H(1) >= 0 to 1, point by point in one sweep.
 
@@ -1075,6 +1145,11 @@ def test_gap_curve_errors_match_the_point_by_point_evaluation():
         # no nudge effect
         (fl.Fixed(0.8), _sweep_models()["uniform_perfect"],
          dict(axis="p0", grid=[0.1, 0.2], params=fl.BehavioralParams(0.1, 0.0), rho=0.2)),
+        # no nudge effect at the first point comes before a later nonpositive rho
+        (fl.Fixed(0.8), _sweep_models()["uniform_perfect"],
+         dict(axis="rho", grid=[0.2, 0.0], params=fl.BehavioralParams(0.1, 0.0))),
+        # the policy fails at the second point, before the two-point rule at the third
+        (_FailingPolicy(), _sweep_models()["mixture_perfect"], dict(axis="rho", grid=[0.2, 0.3, -1.0], params=P)),
     ]
     for policy, make, kw in cases:
         got = _error(fl.gap_curve, policy=policy, model=make(), **kw)

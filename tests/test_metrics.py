@@ -228,6 +228,19 @@ def test_candidate_report_rows_equal_scalar_loop(name):
             assert mt.opauc(make(), mu, params).hex() == total.hex()
 
 
+def test_opauc_nodes_and_sweep_stars_take_no_scalar_two_point_call(monkeypatch):
+    # the OpAUC nodes and a sweep's two-point column are each one array pass
+    def scalar(*args):
+        raise AssertionError("a scalar two_point_threshold call")
+
+    monkeypatch.setattr(fl, "two_point_threshold", scalar)
+    model = sm.Analytic(sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0))))
+    assert len(mt.candidate_report(mt.AlgorithmCandidate("a", model), mt.UniformRatio(0.05, 0.6), P).table) == 201
+    for axis, kw in (("rho", {}), ("p0", {"rho": 0.2})):
+        points = fl.gap_curve(fl.Fixed(0.8), axis=axis, grid=np.linspace(0.02, 0.45, 7), model=model, params=P, **kw)
+        assert len(points) == 7
+
+
 # --- opauc ---------------------------------------------------------------------------
 
 

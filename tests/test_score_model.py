@@ -380,6 +380,60 @@ def test_grid_equals_scalar_bitwise(name):
     assert np.array_equal(sm.conditional_mean_above_grid(make(), taus[order]), tails[order], equal_nan=True)
 
 
+def _memoized_reference(cache, solve, taus):
+    """The memo as a dict loop: solve the new distinct taus once, then read
+    every value back from the dict."""
+    keys = taus.tolist()
+    miss = list(dict.fromkeys(t for t in keys if t not in cache))
+    if miss:
+        cache.update(zip(miss, solve(np.array(miss)).tolist()))
+    return np.array([cache[t] for t in keys], dtype=float)
+
+
+def _signed_solve(calls):
+    def solve(taus):
+        calls.append([t.hex() for t in taus.tolist()])
+        return np.copysign(np.sqrt(np.abs(taus)) + 1.0 / 3.0, taus)  # -0.0 and 0.0 give different bits
+
+    return solve
+
+
+@pytest.mark.parametrize(
+    "cached, taus, new",
+    [
+        ([], [0.3, 0.1, 0.7], [0.3, 0.1, 0.7]),  # all new
+        ([0.1, 0.9], [0.1, 0.2, 0.3, 0.9], [0.2, 0.3]),  # partly cached
+        ([], [0.2, 0.5, 0.2, 0.5], [0.2, 0.5]),  # repeated
+        ([0.5], [0.5, 0.5], []),  # all cached
+        ([], [0.0, -0.0, 0.4], [0.0, 0.4]),  # 0.0 and -0.0 are one tau
+        ([], [-0.0, 0.0], [-0.0]),
+        ([], [-0.0], [-0.0]),
+        ([0.0], [-0.0, 0.6], [0.6]),
+        ([], [], []),
+    ],
+)
+def test_memoized_is_bitwise_the_dict_loop(cached, taus, new):
+    cache, ref_cache, calls, ref_calls = {}, {}, [], []
+    for c in (cache, ref_cache):
+        c.update(zip(cached, _signed_solve([])(np.array(cached, dtype=float)).tolist()))
+    taus = np.array(taus, dtype=float)
+    got = sm._memoized(cache, _signed_solve(calls), taus)
+    ref = _memoized_reference(ref_cache, _signed_solve(ref_calls), taus)
+    assert got.dtype == ref.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+    assert [(k.hex(), v.hex()) for k, v in cache.items()] == [(k.hex(), v.hex()) for k, v in ref_cache.items()]
+    # the solver runs once, on exactly the new taus, or not at all
+    assert calls == ref_calls == ([[t.hex() for t in new]] if new else [])
+
+
+def test_memoized_returns_the_solvers_array_when_every_tau_is_new():
+    out = np.array([1.0, 2.0])
+    got = sm._memoized({}, lambda taus: out, np.array([0.25, 0.5]))
+    assert got is out
+    cache = {0.25: 7.0}
+    assert sm._memoized(cache, lambda taus: np.array([3.0]), np.array([0.25, 0.5])).tolist() == [7.0, 3.0]
+
+
 def test_tpr_grid_empty_tail_error():
     # an empty tail has no mean, but its TPR is 0
     model = sm.EmpiricalJoint(np.array([0.2, 0.8]), np.array([0.2, 0.8]))
