@@ -8,10 +8,14 @@ requesters, the remaining ``m - floor(beta1 * m)`` slots are a uniform lottery
 over requesters not yet served (beta1 = 0 is pure random allocation, beta1 = 1
 pure prioritization; capacity is conserved).
 
-Flags and both allocation stages are one selection (``_smallest``): per
-cohort, the k smallest keys among those eligible, ties to a second key --
--r_hat and the tie-break permutation for flags, -r_hat of requesters and the
-tie key for priority, the lottery keys of the unserved for the lottery.
+Flags and both allocation stages select, per cohort, the k smallest keys
+among those eligible, ties to a second key -- -r_hat and the tie-break
+permutation for flags, -r_hat of requesters and the tie key for priority, the
+lottery keys of the unserved and the tie key for the lottery.  Flags and
+priority are one selection (``_smallest``).  So is the lottery, except where
+a trial is evaluated at many flag counts: its lottery keys are then ranked
+once (``_lottery_ranks``) and each flag count selects on those small
+integers, which serves the same set.
 
 RNG contract: trial ``i`` draws from its own substream, the generator of
 ``SeedSequence(seed).spawn(trials)[i]``.  The substreams' PCG64 states are
@@ -109,6 +113,20 @@ class SimEstimate:
 # slice of its flag counts when a trial alone exceeds it), so a call's memory
 # does not grow with the number of flag counts or trials it evaluates.
 _BLOCK_CELLS = 1 << 15
+
+# Ranked lottery (_lottery_ranks): a block that evaluates at least
+# _RANK_MIN_KS flag counts, with a lottery stage to run, ranks each trial's
+# lottery keys once and every row selects on those small integers, in blocks
+# of up to _RANKED_BLOCK_CELLS cells (at n = 1000 and 21 flag counts, six
+# trials).  Kernel time per trial, n = 1000, m = 200, beta1 = 0, medians of 15
+# interleaved runs on a shared 2-core box, float keys -> ranks in such blocks:
+# 2 flag counts 104 -> 115 us, 4: 113 -> 116, 6: 126 -> 117, 8: 142 -> 126,
+# 11: 165 -> 141, 21: 249 -> 187 (ranks in _BLOCK_CELLS blocks: 234; blocks
+# of 2**16 cells: 201, of 2**18: 183).  The oracle workload needs both parts:
+# pass_ref 37.3 -> 34.0 with ranks alone, 40.5 with the larger blocks alone,
+# 29.8 with both (BENCH_lottery_ranks.json).
+_RANK_MIN_KS = 8
+_RANKED_BLOCK_CELLS = 1 << 17
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq hash, pool of four words)
@@ -251,6 +269,52 @@ def flag_top(population: Population, tau: float, seed=0) -> np.ndarray:
     return _smallest(-population.r_hat, [flagged_count(n, tau)], perm)[0]
 
 
+def _lottery_ranks(lottery: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Each row's lottery order along the last axis, as ranks: 0 for the smallest key.
+
+    Ties go to the smaller ``tie`` key, as :func:`_smallest` breaks them.  The
+    ranks are int16 where ``2 * n < 2**15``, so that ``rank + n`` fits, and
+    int32 otherwise.
+    """
+    n = lottery.shape[-1]
+    keys, second = lottery.reshape(-1, n), tie.reshape(-1, n)
+    # each row's argsort as flat indices: one gather and one scatter for all rows
+    order = np.argsort(keys, axis=-1)
+    order += np.arange(0, keys.size, n)[:, None]
+    ordered = keys.ravel()[order]
+    for row in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=-1)):
+        order[row] = np.lexsort((second[row], keys[row])) + row * n
+    ranks = np.empty(lottery.shape, dtype=np.int16 if 2 * n < 1 << 15 else np.int32)
+    ranks.reshape(-1)[order] = np.arange(n, dtype=ranks.dtype)
+    return ranks
+
+
+def _lottery(members: np.ndarray, k: int, tie, lottery, ranks) -> np.ndarray:
+    """Per row of ``members``, the ``k`` members with the smallest ``lottery`` keys.
+
+    Ties go to the smaller ``tie`` key.  With ``ranks`` (:func:`_lottery_ranks`
+    of ``lottery`` and ``tie``) the rows select on those distinct small
+    integers, lifted by ``n`` for non-members, instead of on the float keys.
+    """
+    if ranks is None:
+        # lottery keys lie in [0, 1): adding 1 lifts non-members above every member
+        return _smallest(lottery + ~members, [k], tie, members)[..., 0, :]
+    n = ranks.shape[-1]
+    kth = min(k, n) - 1
+    if kth < 0:
+        return np.zeros(members.shape, dtype=bool)
+    keys = np.multiply(~members, n, dtype=ranks.dtype)
+    keys += ranks
+    cut = np.partition(keys, kth, axis=-1)[..., kth, None]
+    # a cut at or above n lies among non-members: every member is then served
+    return keys <= np.minimum(cut, n - 1)
+
+
+def _priority_slots(m: int, beta1: float) -> int:
+    """``floor(beta1 * m)``: the slots allocation gives by predicted score."""
+    return min(int(math.floor(beta1 * m + 1e-9)), m)
+
+
 def _serve(
     requests: np.ndarray,
     r_hat: np.ndarray,
@@ -258,24 +322,27 @@ def _serve(
     lottery: np.ndarray,
     m: int,
     beta1: float,
+    ranks: np.ndarray | None = None,
 ) -> np.ndarray:
     """Two-stage mixture allocation of each row of the request mask ``requests``.
 
     The ``floor(beta1 * m)`` requesters ranked highest by predicted score
     (ties to the smaller ``tie`` key) are served first, then the requesters
-    with the smallest ``lottery`` keys fill the remaining slots.  The score
-    and key arrays broadcast against ``requests``.  Returns the served mask;
-    each row serves ``min(m, requests in the row)``.
+    with the smallest ``lottery`` keys (ties again to the smaller ``tie``
+    key) fill the remaining slots.  The score, key and ``ranks`` arrays
+    broadcast against ``requests``.  With ``ranks``, :func:`_lottery_ranks` of
+    ``lottery`` and ``tie``, the lottery stage selects on them and serves the
+    same set.  A double tie (equal lottery and equal tie keys) is not defined
+    on either path.  Returns the served mask; each row serves
+    ``min(m, requests in the row)``.
     """
-    k1 = min(int(math.floor(beta1 * m + 1e-9)), m)
-    # lottery keys lie in [0, 1): adding 1 lifts non-members above every member
+    k1 = _priority_slots(m, beta1)
     if k1 == 0:
-        return _smallest(lottery + ~requests, [m], tie, requests)[..., 0, :]
+        return _lottery(requests, m, tie, lottery, ranks)
     # 1 - r_hat for non-requesters: at or above every requester's -r_hat
     served = _smallest(~requests - r_hat, [k1], tie, requests)[..., 0, :]
     if m > k1:
-        rest = requests & ~served
-        served |= _smallest(lottery + ~rest, [m - k1], tie, rest)[..., 0, :]
+        served |= _lottery(requests & ~served, m - k1, tie, lottery, ranks)
     return served
 
 
@@ -291,15 +358,20 @@ def _run_trials(model, config, ks, population, lo, hi) -> np.ndarray:
     served value, served count, served flagged, served unflagged and request
     count.  Trials are drawn one after another, trial ``i`` from the generator
     of ``SeedSequence(config.seed).spawn(...)[i]``, and evaluated together in
-    blocks of at most ``_BLOCK_CELLS`` cells.
+    blocks of at most ``_BLOCK_CELLS`` cells.  With at least ``_RANK_MIN_KS``
+    flag counts and a lottery stage, blocks hold up to ``_RANKED_BLOCK_CELLS``
+    cells and each ranks its trials' lottery keys once for all its flag
+    counts.
     ``population`` is a cohort fixed across trials, flagged with the
     permutation :func:`flag_top` draws from ``config.seed``, or None to sample
     a cohort per trial.
     """
     p, n = config.params, config.n
     ks = np.asarray(ks)
-    k_step = max(1, _BLOCK_CELLS // n)
-    t_step = max(1, _BLOCK_CELLS // (n * ks.size))
+    ranked = ks.size >= _RANK_MIN_KS and config.m > _priority_slots(config.m, config.beta1)
+    cells = _RANKED_BLOCK_CELLS if ranked else _BLOCK_CELLS
+    k_step = max(1, cells // n)
+    t_step = max(1, cells // (n * ks.size))
     out = np.empty((ks.size, hi - lo, 5))
     rngs = spawned_generators(config.seed, lo, hi)
     if population is not None:  # one (1, n) row that broadcasts over the trials
@@ -324,10 +396,11 @@ def _run_trials(model, config, ks, population, lo, hi) -> np.ndarray:
                 rng.random(out=draw[t, 0])
         requests_unflagged = u < p.p0
         requests_flagged = u < p.p0 + p.delta_p  # a superset: delta_p >= 0
+        ranks = _lottery_ranks(lottery, tie) if ranked else None  # shared by every k-slice
         for s in range(0, ks.size, k_step):
             flags = _smallest(-r_hat, ks[s:s + k_step], perm)
             requests = (flags & requests_flagged) | requests_unflagged
-            served = _serve(requests, r_hat[:, None], tie, lottery, config.m, config.beta1)
+            served = _serve(requests, r_hat[:, None], tie, lottery, config.m, config.beta1, ranks)
             rows = out[s:s + k_step, t0 - lo:t1 - lo]
             rows[..., 0] = (served * values[:, None]).sum(axis=-1).T
             rows[..., 4] = requests.sum(axis=-1, dtype=np.int32).T

@@ -218,6 +218,41 @@ def test_allocate_conserves_capacity(n_req, bystanders, m, beta1, seed):
     assert set(served) <= set(requesters)
 
 
+def _serve_reference(requests, r_hat, tie, lottery, m, beta1):
+    """One row's allocation from ``_smallest_reference``: priority stage, then lottery."""
+    k1 = min(math.floor(beta1 * m + 1e-9), m)
+    served = _smallest_reference(-r_hat, k1, tie, requests)
+    return served | _smallest_reference(lottery, m - k1, tie, requests & ~served)
+
+
+@pytest.mark.parametrize("beta1", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "n, tied", [(1, False), (7, True), (60, False), (60, True), (16_383, False), (16_384, False), (16_384, True)]
+)
+def test_ranked_lottery_bitwise_equal_reference(n, tied, beta1):
+    rng = np.random.default_rng(n)
+    trials = 3 if n < 100 else 1
+    lottery, tie = rng.random((2, trials, 1, n))
+    if tied:  # real draws never tie; equal lottery keys take the lexsort branch
+        lottery = np.round(lottery, 1)
+        assert np.unique(lottery[0]).size < n
+    r_hat = np.round(rng.random((trials, 1, n)), 1)  # ties in the priority stage
+    # per trial: no requester, about a third, everyone
+    requests = rng.random((trials, 3, n)) < np.array([0.0, 0.3, 1.0])[:, None]
+    ranks = sim._lottery_ranks(lottery, tie)
+    assert ranks.dtype == (np.int16 if n <= 16_383 else np.int32)
+    for t in range(trials):
+        assert np.array_equal(ranks[t, 0], np.argsort(np.lexsort((tie[t, 0], lottery[t, 0]))))
+    # k = 0, k below and at a row's member count, k = n and k > n
+    for m in sorted({0, 1, n // 4, int(requests[0, 1].sum()), n, n + 5}):
+        got = sim._serve(requests, r_hat, tie, lottery, m, beta1, ranks)
+        assert np.array_equal(got, sim._serve(requests, r_hat, tie, lottery, m, beta1)), m
+        for t in range(trials):
+            for j in range(3):
+                expect = _serve_reference(requests[t, j], r_hat[t, 0], tie[t, 0], lottery[t, 0], m, beta1)
+                assert np.array_equal(got[t, j], expect), (m, t, j)
+
+
 # --- simulate_policy -------------------------------------------------------------
 
 
@@ -629,7 +664,8 @@ def _reference_rows(model, config, ks, population, children):
 
 @pytest.mark.parametrize("beta1", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize(
-    "kind", ["perfect", "noisy", "corpus", "corpus_3_trial_blocks", "corpus_1_row_blocks"]
+    "kind",
+    ["perfect", "noisy", "corpus", "corpus_3_trial_blocks", "corpus_1_row_blocks", "corpus_4_flag_counts"],
 )
 def test_run_trials_bitwise_equal_reference(kind, beta1, mixture_perfect, monkeypatch):
     model = {
@@ -640,10 +676,13 @@ def test_run_trials_bitwise_equal_reference(kind, beta1, mixture_perfect, monkey
     }.get(kind, _tie_corpus())
     n, trials = 60, 8
     ks = sorted({sm.flagged_count(n, float(t)) for t in np.linspace(0.0, 1.0, 21)})
-    assert ks[0] == 0 and ks[-1] == n
+    assert ks[0] == 0 and ks[-1] == n and len(ks) >= sim._RANK_MIN_KS
+    if kind == "corpus_4_flag_counts":  # below the ranked lottery's threshold
+        ks = [0, ks[7], ks[13], n]
     # all 8 trials share a block unless split: 3 + 3 + 2 trials, or one (trial, k) row each
     cells = {"corpus_3_trial_blocks": 3 * len(ks) * n, "corpus_1_row_blocks": 1}
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", cells.get(kind, sim._BLOCK_CELLS))
+    for name in ("_BLOCK_CELLS", "_RANKED_BLOCK_CELLS"):
+        monkeypatch.setattr(sim, name, cells.get(kind, getattr(sim, name)))
     population = sm.sample_population(model, n, seed=8)
     for m in (0, 12, n, 90):
         cfg = sim.SimConfig(n=n, m=m, params=P, beta1=beta1, trials=trials, seed=7)
@@ -726,6 +765,26 @@ def test_grid_oracle_samples_each_cohort_once(monkeypatch, uniform_perfect):
     cfg = sim.SimConfig(n=100, m=20, params=P, trials=25, seed=5)
     sim.grid_oracle(cfg, uniform_perfect, 21)
     assert len(calls) == 25
+
+
+@pytest.mark.parametrize("n, trials", [(1000, 25), (8000, 3)])
+def test_grid_oracle_ranks_each_lottery_once(n, trials, monkeypatch, uniform_perfect):
+    # n = 1000: several trials per block, several blocks; n = 8000: one trial
+    # per block, its 21 flag counts in two k-slices that share the ranks
+    ranked = []
+    lottery_ranks = sim._lottery_ranks
+
+    def counting(lottery, tie):
+        ranked.append(lottery.shape[0])
+        return lottery_ranks(lottery, tie)
+
+    monkeypatch.setattr(sim, "_lottery_ranks", counting)
+    cfg = sim.SimConfig(n=n, m=n // 5, params=P, trials=trials, seed=5)
+    sim.grid_oracle(cfg, uniform_perfect, 21)
+    assert sum(ranked) == trials and len(ranked) > 1
+    ranked.clear()
+    sim.simulate_taus(cfg, [0.2, 0.4, 0.6, 0.8], uniform_perfect)
+    assert ranked == []
 
 
 def test_pool_size_clamped(monkeypatch):
