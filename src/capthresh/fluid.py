@@ -22,9 +22,9 @@ Thresholds implemented here:
 Everything is a pure function of immutable inputs.  The objective has one
 array form, ``_objective_grid``, with the elementwise arithmetic of the scalar
 ``fluid_objective``; the grid oracle and every sweep evaluate W through it.
-Both analytic roots, the score-optimal threshold and the critical baseline,
-come from one bracketing root-finder, ``_chandrupatla``, run to a bracket two
-ulp wide; corpora bisect their critical baseline with ``_bisect``.
+Every root, the analytic score-optimal threshold and the critical baseline
+of any model, comes from one bracketing root-finder, ``_chandrupatla``, run
+to a bracket two ulp wide.
 A sweep is solved as a whole rather than point by point: its two-point
 thresholds in one array pass, ``_two_point_thresholds`` (the score-optimal
 thresholds of all its p0 values in one lockstep solve), and both objectives of
@@ -373,25 +373,6 @@ def _chandrupatla(f, x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndar
     return out
 
 
-def _bisect(up, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Midpoints of intervals [lo, hi] halved in lockstep until the widest is
-    at most tol, each keeping its upper half where ``up(mid)`` holds.  The
-    halving also stops once every midpoint equals an end of its interval,
-    which a tol below one ulp of the root would otherwise never reach.
-    """
-    last = math.inf
-    while (widest := np.max(hi - lo)) > tol:
-        mid = 0.5 * (lo + hi)
-        # the widest interval did not shrink: stop if no interval halves further
-        if widest == last and not ((lo < mid) & (mid < hi)).any():
-            break
-        last = widest
-        go_up = up(mid)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _empirical_score_optimal(model: JointScoreModel, p0s: list, delta_p: float) -> list[float]:
     """Grid argmax of fluid_efficacy for every p0, smallest tau on ties.
 
@@ -465,15 +446,17 @@ def _two_point_thresholds(rho, model: JointScoreModel, p0, delta_p: float) -> np
 def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> float:
     """Smallest p0 at which the score-optimal threshold starts to bind.
 
-    The score-optimal threshold binds when tau_score(p0) <= tau_c(p0).  For
-    analytic models H(.; p0) is strictly decreasing in tau, so
-    g(p0) = H(tau_c(p0); p0) > 0 exactly when tau_score(p0) > tau_c(p0), and
-    ``_chandrupatla`` finds the root of the continuous g over p0 in
-    [0, 1 - delta_p] with no score-optimal solve.  Empirical corpora, whose
-    score-optimal threshold is a grid argmax, bisect on the comparison of
-    tau_score(p0) with tau_c(p0) itself, to 1e-9.  Returns 0 if the threshold
-    already binds at p0 = 0 and 1 - delta_p if it never binds, as at
-    rho >= 1, where capacity covers everyone who could request.
+    The score-optimal threshold binds when tau_score(p0) <= tau_c(p0), and
+    ``_chandrupatla`` finds where it starts to over p0 in [0, 1 - delta_p] as
+    the root of a g(p0) that is positive exactly when tau_score(p0) > tau_c(p0).
+    Analytic models, whose H(.; p0) is strictly decreasing in tau, take the
+    continuous g(p0) = H(tau_c(p0); p0), with no score-optimal solve.
+    Empirical corpora, whose score-optimal threshold is a grid argmax, take
+    g(p0) = tau_score(p0) - tau_c(p0), linear in p0 between argmax switches,
+    so a crossing there is found exactly and one at a switch to two ulp.
+    Returns 0 if the threshold already binds at p0 = 0 and 1 - delta_p if it
+    never binds, as at rho >= 1, where capacity covers everyone who could
+    request.
     """
     if not rho > 0.0:
         raise ValueError("rho must be positive")
@@ -489,15 +472,13 @@ def critical_baseline(rho: float, model: JointScoreModel, delta_p: float) -> flo
         return 0.0
     if is_empirical(model):
 
-        def unbound(p0: np.ndarray) -> np.ndarray:
-            return np.array(_score_optimal_thresholds(model, p0.tolist(), delta_p)) > tau_c(p0)
+        def g(i, p0: np.ndarray) -> np.ndarray:
+            return np.array(_score_optimal_thresholds(model, p0.tolist(), delta_p)) - tau_c(p0)
 
-        if unbound(np.array([p_max]))[0]:
-            return p_max
-        return float(_bisect(unbound, np.zeros(1), np.array([p_max]), 1e-9)[0])
+    else:
 
-    def g(i, p0: np.ndarray) -> np.ndarray:
-        return _foc_grid(model, p0 / delta_p, tau_c(p0))
+        def g(i, p0: np.ndarray) -> np.ndarray:
+            return _foc_grid(model, p0 / delta_p, tau_c(p0))
 
     ends = np.array([0.0, p_max])
     g_ends = g(None, ends)

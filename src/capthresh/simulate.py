@@ -526,8 +526,17 @@ def _request_count_pmf(k_flagged: int, k_unflagged: int, params: BehavioralParam
     )
 
 
+def _check_cohort(n: int, m: int) -> None:
+    """Raise SimConfig's error for a cohort size or capacity no oracle can take."""
+    if not n >= 1:
+        raise ValueError("n must be >= 1")
+    if not m >= 0:
+        raise ValueError("m must be nonnegative")
+
+
 def exact_expected_served(tau: float, n: int, m: int, params: BehavioralParams) -> float:
     """Exact E[min(requests, m)] by binomial convolution (n <= 5000)."""
+    _check_cohort(n, m)
     if n > EXACT_BUDGET:
         raise ValueError("population too large for the exact oracle; use Monte Carlo")
     k = flagged_count(n, tau)
@@ -544,9 +553,10 @@ def exact_service_rates(tau: float, n: int, m: int, params: BehavioralParams) ->
     convolution of the other n-1 request indicators; the convolution differs
     by one Bernoulli term depending on the requester's own flag group.
     """
+    _check_cohort(n, m)
     if n > EXACT_BUDGET:
         raise ValueError("population too large for the exact oracle; use Monte Carlo")
-    if m <= 0:
+    if m == 0:
         return 0.0, 0.0
     return _service_rates(flagged_count(n, tau), n, m, params)
 
@@ -581,6 +591,7 @@ def exact_objective_random(
     Sums r_i * p_i * E[min(m / (1 + S_other), 1)] over individuals via the
     per-group service rates of :func:`exact_service_rates`.  beta1 = 0 only.
     """
+    _check_cohort(population.n, m)
     if population.n > EXACT_BUDGET:
         raise ValueError("population too large for the exact oracle; use Monte Carlo")
     return float(_exact_values(population.r[None], population.r_hat[None], tau, m, params, flag_seed)[0])
@@ -607,6 +618,7 @@ def exact_objectives_random(
     """
     if not 1 <= n <= EXACT_BUDGET:
         raise ValueError(f"n must be in [1, {EXACT_BUDGET}] for the exact oracle; use Monte Carlo above")
+    _check_cohort(n, m)
     if populations < 1:
         raise ValueError("populations must be >= 1")
     out = np.empty(populations)
@@ -624,7 +636,7 @@ def exact_objectives_random(
 def _exact_values(r, r_hat, tau, m, params, flag_seed) -> np.ndarray:
     """The exact served value of each row of the cohorts ``(r, r_hat)``, shaped (cohort, individual)."""
     rows, n = r.shape
-    if m <= 0:
+    if m == 0:
         return np.zeros(rows)
     k = flagged_count(n, tau)
     flags = _smallest(-r_hat, [k], _flag_permutation(operator.index(flag_seed), n))[:, 0]
@@ -644,6 +656,7 @@ def chernoff_demand_bound(tau: float, n: int, m: int, params: BehavioralParams) 
     undersubscribed side: n * exp(-delta^2 / (2 + delta) mu), with mu the
     expected request count and delta the relative distance to capacity.
     """
+    _check_cohort(n, m)
     mu = fluid_demand(tau, n, params)
     if mu <= 0:
         return 0.0

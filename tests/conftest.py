@@ -133,3 +133,16 @@ def scalar_bisection(up, lo, hi, tol=0.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def sign_changes_near(f, x, lo, hi):
+    """f(x) is 0, or the sign of f at x differs from its sign at a float of
+    [lo, hi] at most two ulp from x."""
+    sign = np.sign(f(x))
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(2):
+            y = np.nextafter(y, toward)
+            if lo <= y <= hi and np.sign(f(y)) != sign:
+                return True
+    return sign == 0.0

@@ -73,6 +73,16 @@ def test_threshold_at_full_capacity_prints_a_finite_critical_baseline(tmp_path, 
     assert kv["regime"] == "utilization-bound"
 
 
+def test_corpus_threshold_prints_the_exact_critical_baseline(tmp_path, capsys, monkeypatch):
+    # tau_score - tau_c is linear in p0 between argmax switches, so its crossing is exact
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(capsys, "threshold", "--scenario", str(DEMO_SCENARIOS / "corpus_point.json"))
+    assert code == 0
+    kv = _parse_kv(out.splitlines()[0])
+    # where tau_c = 1 - (rho - p0) / delta_p meets tau_score = 0.75: p0 = 0.2 - 0.5 * 0.25
+    assert kv["tau_score"] == "0.75" and kv["p0_critical"] == "0.075"
+
+
 def test_simulate_deterministic_and_worker_invariant(tmp_path, capsys):
     scn = _scenario(tmp_path)
     code1, out1 = _run(capsys, "simulate", "--scenario", str(scn))

@@ -1,19 +1,21 @@
-"""Standing properties of the analytic fluid solvers on drawn models.
+"""Standing properties of the fluid solvers on drawn models.
 
 Beta mixtures of one to three components, with a perfect predictor or
 clipped Gaussian noise, at drawn p0, delta_p and rho.  Each example checks
 that the analytic roots are roots of H to the last bits, against a bisection
 of the same H to adjacent floats, that the two-point threshold is the fluid
-optimum on a tau grid, and that the TPR curve stays at most 1.
+optimum on a tau grid, and that the TPR curve stays at most 1.  Drawn joint
+and labeled corpora check that the critical baseline is a sign change of
+tau_score - tau_c to the last bits, against a bisection to adjacent floats.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capthresh import fluid as fl
 from capthresh import score_model as sm
-from tests.conftest import scalar_bisection
+from tests.conftest import scalar_bisection, sign_changes_near
 
 _GRID = np.linspace(0.0, 1.0, 201)
 
@@ -47,16 +49,7 @@ def _is_a_root(f, x, ref, lo, hi):
     changes."""
     if ref in (lo, hi):
         return x == ref
-    if abs(x - ref) > 1e-12:
-        return False
-    sign = np.sign(f(x))
-    for toward in (-np.inf, np.inf):
-        y = x
-        for _ in range(2):
-            y = np.nextafter(y, toward)
-            if lo <= y <= hi and np.sign(f(y)) != sign:
-                return True
-    return sign == 0.0
+    return abs(x - ref) <= 1e-12 and sign_changes_near(f, x, lo, hi)
 
 
 @given(
@@ -95,3 +88,36 @@ def test_analytic_roots_two_point_optimality_and_tpr(comps, sigma, p0, delta_p, 
     # 1 up to rounding: on noisy models the tail mean at tau = 0 and E[r]
     # come from different quadratures
     assert np.max(sm.tpr_grid(model, _GRID)) <= 1.0 + 1e-12
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(50, 2000),
+    labeled=st.booleans(),
+    delta_p=st.floats(0.05, 0.9),
+    rho=st.floats(0.01, 0.9),
+)
+@example(seed=0, rows=50, labeled=False, delta_p=0.5, rho=0.0625)  # the argmax flips near p0 = 2.4e-17
+@settings(max_examples=100, deadline=None)
+def test_corpus_critical_baseline_is_a_sign_change(seed, rows, labeled, delta_p, rho):
+    rng = np.random.default_rng(seed)
+    true = rng.beta(2.0, 5.0, rows)
+    pred = np.round(np.clip(true + 0.15 * rng.standard_normal(rows), 0.0, 1.0), 3)
+    if labeled:
+        model = sm.EmpiricalLabeled(pred, (rng.random(rows) < true).astype(float), tie_seed=seed)
+    else:
+        model = sm.EmpiricalJoint(pred, true, tie_seed=seed)
+
+    def g(p):
+        params = fl.BehavioralParams(p, delta_p)
+        return fl.score_optimal_threshold(model, params) - fl.capacity_matching_threshold(rho, params)
+
+    # g(0) > 0, as tau_score(0) = 1; below about 1e-16, rounding can flip the
+    # grid argmax back and forth, so a reference bisection may stop at 0
+    p_max = 1.0 - delta_p
+    p0_bar = fl.critical_baseline(rho, model, delta_p)
+    if g(p_max) > 0.0:
+        assert p0_bar == p_max
+    else:
+        assert abs(p0_bar - _deep_root(g, 0.0, p_max)) <= 1e-12, p0_bar
+        assert sign_changes_near(g, p0_bar, 0.0, p_max), p0_bar

@@ -29,3 +29,14 @@ def test_exit_code_says_whether_any_row_differs(output_md5, monkeypatch, capsys,
     monkeypatch.setattr(output_md5, "hash_workloads", lambda root, seeds: {})
     assert output_md5.main(["a=.", "b=."]) == code
     assert capsys.readouterr().err.endswith(f"2 rows, {code} with differing md5s or exit codes\n")
+
+
+@pytest.mark.parametrize("roots", [["a=.", "b=."], ["a=."]])
+def test_a_run_that_fails_everywhere_fails_the_check(output_md5, monkeypatch, capsys, roots):
+    # every checkout exits 1 on the same run with the same output: no row differs
+    monkeypatch.setattr(output_md5, "hash_checkout", lambda root: {"run stdout": ("1", "aa"), "file": ("", "bb")})
+    monkeypatch.setattr(output_md5, "hash_workloads", lambda root, seeds: {})
+    assert output_md5.main(roots) == 1
+    err = capsys.readouterr().err
+    assert "1 rows whose run exited nonzero\n" in err
+    assert err.endswith("2 rows, 0 with differing md5s or exit codes\n")

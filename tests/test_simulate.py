@@ -506,6 +506,35 @@ def test_exact_objectives_checks_like_the_one_cohort_oracle():
             sim.exact_objectives_random(model, 10, 0.5, 2, P, seed=1, populations=populations)
 
 
+_BAD_COHORTS = {
+    # each returned a number (or failed inside numpy) instead of raising
+    "served_negative_m": (lambda: sim.exact_expected_served(0.5, 100, -1, P), "m must be nonnegative"),
+    "served_negative_n": (lambda: sim.exact_expected_served(0.5, -5, 10, P), "n must be >= 1"),
+    "chernoff_negative_m": (lambda: sim.chernoff_demand_bound(0.5, 100, -1, P), "m must be nonnegative"),
+    "chernoff_zero_n": (lambda: sim.chernoff_demand_bound(0.5, 0, 10, P), "n must be >= 1"),
+    "rates_negative_n": (lambda: sim.exact_service_rates(0.5, -3, 10, P), "n must be >= 1"),
+    "rates_negative_m": (lambda: sim.exact_service_rates(0.5, 10, -1, P), "m must be nonnegative"),
+    "objective_negative_m": (lambda: sim.exact_objective_random(_uniform_pop(10), 0.5, -1, P), "m must be nonnegative"),
+    "objectives_negative_m": (
+        lambda: sim.exact_objectives_random(sm.Analytic(_MIX), 10, 0.5, -1, P, seed=1, populations=3),
+        "m must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COHORTS))
+def test_exact_oracles_reject_negative_capacity_and_empty_cohorts(case):
+    call, message = _BAD_COHORTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_exact_oracles_serve_nothing_at_zero_capacity():
+    assert sim.exact_expected_served(0.5, 100, 0, P) == 0.0
+    assert sim.exact_service_rates(0.5, 100, 0, P) == (0.0, 0.0)
+    assert sim.chernoff_demand_bound(0.5, 100, 0, P) == 0.0
+
+
 # --- fluid upper bound -------------------------------------------------------------
 #
 # The bound is exact only in the large-system limit; at finite n several cells sit

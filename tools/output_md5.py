@@ -22,8 +22,10 @@ print agree between checkouts.
 The table goes to stdout as Markdown, one row per stdout or file and one md5
 column per checkout; the exit column lists each checkout's exit code where
 they differ.  A last line on stderr counts the rows whose md5s or exit
-codes differ between checkouts.  The exit code is 1 when any row differs,
-and 0 otherwise.
+codes differ between checkouts, after a line counting the rows whose run
+exited nonzero in some checkout.  The exit code is 1 when any row differs
+or any run in any checkout exits nonzero, so a run that fails in every
+checkout, or in the only one, fails the check too; it is 0 otherwise.
 """
 
 from __future__ import annotations
@@ -130,15 +132,17 @@ def main(argv: list[str]) -> int:
     names = list(dict.fromkeys(name for table in tables for name in table))
     print("| run or file | exit | " + " | ".join(f"md5 at {label}" for label in labels) + " |")
     print("|---|---|" + "---|" * len(labels))
-    differ = 0
+    differ = failed = 0
     for name in names:
         cells = [table.get(name, ("missing", "missing")) for table in tables]
         codes = list(dict.fromkeys(code for code, _ in cells))
         md5s = [md5 for _, md5 in cells]
         differ += len(set(md5s)) > 1 or len(codes) > 1
+        failed += any(code not in ("0", "", "missing") for code in codes)
         print(f"| {name} | {'/'.join(codes)} | " + " | ".join(md5s) + " |")
+    print(f"{failed} rows whose run exited nonzero", file=sys.stderr)
     print(f"{len(names)} rows, {differ} with differing md5s or exit codes", file=sys.stderr)
-    return 1 if differ else 0
+    return 1 if differ or failed else 0
 
 
 if __name__ == "__main__":
