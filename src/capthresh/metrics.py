@@ -12,6 +12,11 @@ OpAUC is reported unnormalized (it is not bounded by 1) and is comparable
 only across candidates at a fixed (mu, p0, delta_p).  Its ordering matches
 the ordering of mu-averaged fluid objectives at each candidate's own optimal
 thresholds, which is what makes it the selection criterion.
+
+Above total demand, rho > p0 + delta_p, the integrand is rho, while the fluid
+objective per E[r] is p0 + delta_p: U(0.7, 0.9) at p0 = 0.1, delta_p = 0.5
+gives OpAUC 0.8 where the fluid value is 0.6.  Every candidate gains the same
+rho there, so rankings are unaffected.
 """
 
 from __future__ import annotations

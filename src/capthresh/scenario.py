@@ -123,20 +123,19 @@ class ModelSpec:
     """A checked model block; ``build`` makes the model where a command uses it.
 
     Analytic kinds carry their true-score law and predictor.  Empirical kinds
-    carry the corpus CSV, its mode and tie seed, and ``build`` reads the CSV
-    and rejects a corpus whose true scores or outcomes are all 0.
+    carry the corpus CSV and its mode, and ``build`` reads the CSV and rejects
+    a corpus whose true scores or outcomes are all 0.
     """
 
     true_scores: Uniform01 | BetaMixture | None = None
     predictor: Predictor = Perfect()
     csv: Path | None = None
     mode: str = "joint"
-    tie_seed: int = 0
 
     def build(self) -> JointScoreModel:
         if self.csv is None:
             return Analytic(self.true_scores, self.predictor)
-        model = load_empirical_csv(self.csv, self.mode, self.tie_seed)
+        model = load_empirical_csv(self.csv, self.mode)
         if mean_true_score(model) == 0.0:  # every threshold would plan and serve zero value
             column = _HEADERS[self.mode].partition(",")[2]
             raise ScenarioError(f"{self.csv.name}: every {column} is 0; a corpus needs positive mass")
@@ -300,12 +299,11 @@ def _model(spec, path: str, base_dir: Path) -> ModelSpec:
         except (TypeError, ValueError) as e:
             _fail(f"{path}.components", str(e))
     if kind in ("empirical_joint", "empirical_labeled"):
-        _keys(spec, {"kind", "path", "tie_seed"}, path)
+        _keys(spec, {"kind", "path"}, path)
         csv_path = (base_dir / _get(spec, "path", str, path)).resolve()
         if not csv_path.is_file():
             _fail(f"{path}.path", f"file not found: {csv_path}")
-        tie_seed = _get(spec, "tie_seed", int, path, default=0, lo=0)
-        return ModelSpec(csv=csv_path, mode=kind.removeprefix("empirical_"), tie_seed=tie_seed)
+        return ModelSpec(csv=csv_path, mode=kind.removeprefix("empirical_"))
     _fail(f"{path}.kind", f"unknown model kind '{kind}'")
 
 
@@ -400,7 +398,7 @@ def _validate(spec: dict) -> Validate:
 _HEADERS = {"joint": "score,true_score", "labeled": "score,outcome"}
 
 
-def load_empirical_csv(path, mode: str, tie_seed: int = 0) -> JointScoreModel:
+def load_empirical_csv(path, mode: str) -> JointScoreModel:
     """Read a two-column corpus; row numbers in errors count file lines.
 
     The file is read once as bytes.  When it is plain ASCII without the
@@ -417,8 +415,8 @@ def load_empirical_csv(path, mode: str, tie_seed: int = 0) -> JointScoreModel:
     path = Path(path)
     scores, seconds = _load_file(path, mode) or _load_text(path, mode)
     if mode == "joint":
-        return EmpiricalJoint(scores, seconds, tie_seed)
-    return EmpiricalLabeled(scores, seconds, tie_seed)
+        return EmpiricalJoint(scores, seconds)
+    return EmpiricalLabeled(scores, seconds)
 
 
 # str.splitlines breaks lines at these ASCII bytes too, the file reader only at \n and \r

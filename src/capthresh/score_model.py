@@ -20,9 +20,9 @@ Model kinds:
 
 Empirical quantile convention: the tau-quantile is the ceil(tau*n)-th
 ascending order statistic, so the flagged set is exactly the top
-``n - ceil(tau*n)`` records.  Ties in predicted score are broken by a
-permutation seeded with the model's ``tie_seed``, which keeps every tail
-statistic a deterministic function of tau.
+``n - ceil(tau*n)`` records.  A flagged count that cuts a block of tied
+predicted scores takes that block pro rata: the expectation over the random
+tie-breaks a simulated cohort draws afresh each trial, so no seed enters.
 """
 
 from __future__ import annotations
@@ -361,7 +361,6 @@ class EmpiricalJoint:
 
     predicted: np.ndarray
     true: np.ndarray
-    tie_seed: int = 0
 
     def __post_init__(self):
         pred = _readonly(self.predicted)
@@ -385,7 +384,6 @@ class EmpiricalLabeled:
 
     predicted: np.ndarray
     outcomes: np.ndarray
-    tie_seed: int = 0
 
     def __post_init__(self):
         pred = _readonly(self.predicted)
@@ -668,33 +666,26 @@ class _EmpiricalEngine(_Engine):
     """Order-statistic quantiles and tail means over a finite corpus.
 
     ``values`` are the true scores, or for a labeled corpus the 0/1 outcomes.
+    Each block of equal predicted scores is summed once, and a top-k sum
+    interpolates linearly between the sums at block bounds.
     """
 
     empirical = True
 
-    def __init__(self, predicted: np.ndarray, values: np.ndarray, tie_seed: int):
+    def __init__(self, predicted: np.ndarray, values: np.ndarray):
         self.predicted = predicted
         self.values = values
         self.n = predicted.size
-        # descending by predicted score, ties resolved by the permutation: an
-        # unstable sort, whose order within a run of equal scores depends on
-        # the CPU's sort kernel, then each run sorted again by tie rank alone,
-        # which equals lexsort((tie, -predicted)) at a fraction of its cost
+        # descending by predicted score; the order within a block is never read
         order = np.argsort(-predicted)
         scores = predicted[order]
-        tied = scores[1:] == scores[:-1]  # -0.0 == 0.0, as in lexsort
-        if tied.any():
-            tie = np.random.default_rng(tie_seed).permutation(self.n)
-            pos = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
-            run = np.r_[0, np.cumsum(~tied)][pos]  # nondecreasing along pos
-            rows = order[pos]
-            # one distinct key per row: its run, then its tie rank within the run
-            order[pos] = rows[np.argsort(run * self.n + tie[rows])]
-        self.desc_order = order
-        # sums of the top k values for k = 0..n
-        self._top_sums = np.zeros(self.n + 1)
-        np.cumsum(values[self.desc_order], out=self._top_sums[1:])
-        self._pred_asc = predicted[self.desc_order][::-1]
+        self._pred_asc = scores[::-1] + 0.0  # a block of 0.0 and -0.0 reads 0.0, in any order
+        new = np.r_[True, scores[1:] != scores[:-1]]  # -0.0 == 0.0
+        block = np.empty(self.n, dtype=np.intp)
+        block[order] = np.cumsum(new) - 1
+        # bincount adds each block's values in row order, whatever the sort did
+        self._bounds = np.r_[np.flatnonzero(new), self.n]
+        self._bound_sums = np.r_[0.0, np.cumsum(np.bincount(block, weights=values))]
         self._mean = float(values.mean())
 
     def quantile_grid(self, taus: np.ndarray) -> np.ndarray:
@@ -702,14 +693,15 @@ class _EmpiricalEngine(_Engine):
 
     def cond_mean_above_grid(self, taus: np.ndarray) -> np.ndarray:
         k = flagged_counts(self.n, taus)
+        # exact at block bounds, so an untied corpus reads plain cumulative sums
         with np.errstate(invalid="ignore"):
-            return self._top_sums[k] / k  # 0 / 0 = NaN where the tail is empty
+            return np.interp(k, self._bounds, self._bound_sums) / k  # 0 / 0 = NaN where the tail is empty
 
     def cond_mean_at_grid(self, taus: np.ndarray) -> np.ndarray:
         raise ValueError("conditional_mean_at is undefined for empirical models")
 
     def cond_mean_top(self) -> float:
-        return float(self.values[self.desc_order[0]])
+        return float(self._bound_sums[1] / self._bounds[1])
 
     def mean(self) -> float:
         return self._mean
@@ -736,9 +728,9 @@ def _engine(model: JointScoreModel) -> _Engine:
         else:
             eng = _PerfectEngine(model.true_scores)
     elif isinstance(model, EmpiricalJoint):
-        eng = _EmpiricalEngine(model.predicted, model.true, model.tie_seed)
+        eng = _EmpiricalEngine(model.predicted, model.true)
     elif isinstance(model, EmpiricalLabeled):
-        eng = _EmpiricalEngine(model.predicted, model.outcomes, model.tie_seed)
+        eng = _EmpiricalEngine(model.predicted, model.outcomes)
     else:
         raise TypeError(f"not a JointScoreModel: {model!r}")
     _ENGINES[model] = eng

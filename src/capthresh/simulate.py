@@ -534,11 +534,15 @@ def _check_cohort(n: int, m: int) -> None:
         raise ValueError("m must be nonnegative")
 
 
-def exact_expected_served(tau: float, n: int, m: int, params: BehavioralParams) -> float:
-    """Exact E[min(requests, m)] by binomial convolution (n <= 5000)."""
+def _check_exact(n: int, m: int) -> None:
     _check_cohort(n, m)
     if n > EXACT_BUDGET:
         raise ValueError("population too large for the exact oracle; use Monte Carlo")
+
+
+def exact_expected_served(tau: float, n: int, m: int, params: BehavioralParams) -> float:
+    """Exact E[min(requests, m)] by binomial convolution (n <= 5000)."""
+    _check_exact(n, m)
     k = flagged_count(n, tau)
     pmf = _request_count_pmf(k, n - k, params)
     s = np.arange(pmf.size)
@@ -553,9 +557,7 @@ def exact_service_rates(tau: float, n: int, m: int, params: BehavioralParams) ->
     convolution of the other n-1 request indicators; the convolution differs
     by one Bernoulli term depending on the requester's own flag group.
     """
-    _check_cohort(n, m)
-    if n > EXACT_BUDGET:
-        raise ValueError("population too large for the exact oracle; use Monte Carlo")
+    _check_exact(n, m)
     if m == 0:
         return 0.0, 0.0
     return _service_rates(flagged_count(n, tau), n, m, params)
@@ -591,9 +593,7 @@ def exact_objective_random(
     Sums r_i * p_i * E[min(m / (1 + S_other), 1)] over individuals via the
     per-group service rates of :func:`exact_service_rates`.  beta1 = 0 only.
     """
-    _check_cohort(population.n, m)
-    if population.n > EXACT_BUDGET:
-        raise ValueError("population too large for the exact oracle; use Monte Carlo")
+    _check_exact(population.n, m)
     return float(_exact_values(population.r[None], population.r_hat[None], tau, m, params, flag_seed)[0])
 
 

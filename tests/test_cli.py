@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from capthresh import cli
+from capthresh import fluid as fl
+from capthresh import scenario as sio
 from capthresh import simulate as sim
+from tests.conftest import sign_changes_near
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -79,8 +82,25 @@ def test_corpus_threshold_prints_the_exact_critical_baseline(tmp_path, capsys, m
     code, out = _run(capsys, "threshold", "--scenario", str(DEMO_SCENARIOS / "corpus_point.json"))
     assert code == 0
     kv = _parse_kv(out.splitlines()[0])
-    # where tau_c = 1 - (rho - p0) / delta_p meets tau_score = 0.75: p0 = 0.2 - 0.5 * 0.25
-    assert kv["tau_score"] == "0.75" and kv["p0_critical"] == "0.075"
+    assert kv["tau_score"] == "0.7475"  # the grid argmax, tied blocks at their average
+    model = sio.load_empirical_csv(DEMO_SCENARIOS / "tied_corpus.csv", "labeled")
+
+    def g(p):
+        params = fl.BehavioralParams(p, 0.5)
+        return fl.score_optimal_threshold(model, params) - fl.capacity_matching_threshold(0.2, params)
+
+    p0_bar = float(kv["p0_critical"])
+    assert sign_changes_near(g, p0_bar, 0.0, 0.5), p0_bar
+    # where tau_c = 1 - (rho - p0) / delta_p meets tau_score = 0.7475: p0 = 0.2 - 0.5 * 0.2525
+    assert p0_bar == pytest.approx(0.07375, abs=1e-15)
+
+
+def test_scenario_tie_seed_is_an_unknown_key(tmp_path, capsys):
+    # tied blocks enter the fluid model at their average, so no seed orders them
+    corpus = {"kind": "empirical_labeled", "path": str(DEMO_SCENARIOS / "tied_corpus.csv"), "tie_seed": 11}
+    scn = _scenario(tmp_path, model=corpus)
+    assert cli.main(["threshold", "--scenario", str(scn)]) == 1
+    assert "model: unknown key(s) ['tie_seed']" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_and_worker_invariant(tmp_path, capsys):
@@ -283,7 +303,7 @@ def test_plan_commands_leave_scipy_stats_unloaded(tmp_path, cli_env):
 
 def test_corpus_commands_leave_scipy_special_unloaded(tmp_path, cli_env):
     # corpus models use none of scipy.special, which the analytic models import on first use
-    corpus = {"kind": "empirical_labeled", "path": str(DEMO_SCENARIOS / "tied_corpus.csv"), "tie_seed": 11}
+    corpus = {"kind": "empirical_labeled", "path": str(DEMO_SCENARIOS / "tied_corpus.csv")}
     scn = _scenario(
         tmp_path, model=corpus, mu={"kind": "uniform_ratio", "lo": 0.05, "hi": 0.4},
         sweep={"axis": "p0", "lo": 0.02, "hi": 0.45, "points": 5, "simulate": False},

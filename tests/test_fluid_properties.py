@@ -104,9 +104,9 @@ def test_corpus_critical_baseline_is_a_sign_change(seed, rows, labeled, delta_p,
     true = rng.beta(2.0, 5.0, rows)
     pred = np.round(np.clip(true + 0.15 * rng.standard_normal(rows), 0.0, 1.0), 3)
     if labeled:
-        model = sm.EmpiricalLabeled(pred, (rng.random(rows) < true).astype(float), tie_seed=seed)
+        model = sm.EmpiricalLabeled(pred, (rng.random(rows) < true).astype(float))
     else:
-        model = sm.EmpiricalJoint(pred, true, tie_seed=seed)
+        model = sm.EmpiricalJoint(pred, true)
 
     def g(p):
         params = fl.BehavioralParams(p, delta_p)

@@ -208,7 +208,7 @@ def _small_labeled():
     # 300 rows, fewer than the 2001-point tau grid: corpus tails can be empty
     rng = np.random.default_rng(5)
     scores = np.round(rng.random(300), 2)
-    return sm.EmpiricalLabeled(scores, (rng.random(300) < scores).astype(float), tie_seed=1)
+    return sm.EmpiricalLabeled(scores, (rng.random(300) < scores).astype(float))
 
 
 @pytest.mark.parametrize("name", [*sorted(_curve_models()), "labeled_300"])

@@ -403,28 +403,6 @@ def test_scenario_rejects_a_corpus_without_positive_mass(tmp_path, mode):
         spec.build()
 
 
-def test_scenario_tie_seed_reaches_the_sort(tmp_path):
-    rng = np.random.default_rng(4)
-    pred = np.round(rng.random(300), 1)  # ties everywhere
-    signed_zeros = np.where(rng.random(50) < 0.5, -0.0, 0.0)
-    signed_zeros[::5] = 0.75
-    corpora = (
-        pred, np.full(40, 0.5), np.array([0.3]), signed_zeros,
-        np.clip(np.round(rng.random(500) * 1.6 - 0.3, 3), 0.0, 1.0),  # atoms at 0 and 1
-        np.round(rng.random(2000), 2), rng.permutation(pred),  # tied rows in another order
-    )
-    for pred in corpora:
-        (tmp_path / "c.csv").write_text(
-            "score,outcome\n" + "".join(f"{s},{int(s >= 0.3)}\n" for s in pred), encoding="utf-8"
-        )
-        for tie_seed in (0, 9):
-            doc = dict(MINIMAL, model={"kind": "empirical_labeled", "path": "c.csv", "tie_seed": tie_seed})
-            model = sio.load_scenario(_write(tmp_path, doc)).model.build()
-            assert model.tie_seed == tie_seed and model.predicted.tobytes() == pred.tobytes()
-            tie = np.random.default_rng(tie_seed).permutation(pred.size)
-            np.testing.assert_array_equal(sm._engine(model).desc_order, np.lexsort((tie, -pred)))
-
-
 def test_load_large_labeled_matches_auc_oracle(tmp_path):
     rng = np.random.default_rng(8)
     r = rng.random(10**5)

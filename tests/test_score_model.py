@@ -154,7 +154,7 @@ def test_cma_empty_tail_error():
 def test_cma_grid_matches_scalar_calls():
     rng = np.random.default_rng(5)
     pred = np.round(rng.random(37), 1)  # ties at every score
-    corpus = sm.EmpiricalJoint(pred, rng.random(37), tie_seed=3)
+    corpus = sm.EmpiricalJoint(pred, rng.random(37))
     taus = np.linspace(0.0, 1.0, 201)
     got = sm.conditional_mean_above_grid(corpus, taus)
     for t, g in zip(taus, got):
@@ -177,29 +177,88 @@ def _ties_in_any_order(rng):
     return argsort
 
 
-@pytest.mark.parametrize("tie_seed", [0, 1, 7, 123])
-def test_corpus_sort_equals_lexsort_on_ties(tie_seed, monkeypatch):
-    rng = np.random.default_rng(tie_seed)
-    pred = np.round(rng.random(5000), 3)  # about five records per distinct score
-    clipped = np.clip(rng.random(3000) * 1.6 - 0.3, 0.0, 1.0)  # atoms at 0 and 1
-    signed_zeros = np.where(rng.random(400) < 0.5, -0.0, 0.0)
+def _block_split_tail_sums(pred, values):
+    """Top-k sums for k = 0..n, the block of equal scores that k cuts entering
+    pro rata: the expectation over uniformly random tie-breaks."""
+    sums, whole = [0.0], 0.0
+    for score in sorted(set(pred.tolist()), reverse=True):  # -0.0 and 0.0 are one score
+        rows = pred == score
+        block, size = values[rows].sum(), int(rows.sum())
+        sums += [whole + j / size * block for j in range(1, size + 1)]
+        whole += block
+    return np.array(sums)
+
+
+def _tied_corpora(rng):
+    signed_zeros = np.where(rng.random(60) < 0.5, -0.0, 0.0)
     signed_zeros[::7] = 0.5
-    shuffled = pred.copy()
-    rng.shuffle(shuffled)  # the same tie runs, laid out in another order
-    corpora = (
-        pred, pred[:1], np.full(1000, 0.25), signed_zeros, clipped,
-        np.round(rng.random(2000), 2), shuffled,
+    return (
+        np.round(rng.random(300), 1),  # about thirty records per score
+        np.round(rng.random(500), 2),
+        np.full(40, 0.25),
+        np.array([0.3]),
+        signed_zeros,
+        np.clip(np.round(rng.random(400) * 1.6 - 0.3, 2), 0.0, 1.0),  # atoms at 0 and 1
     )
-    for corpus in corpora:
-        tie = np.random.default_rng(tie_seed).permutation(corpus.size)
-        want = np.lexsort((tie, -corpus))
-        for argsort in (np.argsort, _ties_in_any_order(rng)):
-            with monkeypatch.context() as m:
-                m.setattr(np, "argsort", argsort)
-                engine = sm._EmpiricalEngine(corpus, np.full(corpus.size, 0.5), tie_seed)
-            np.testing.assert_array_equal(engine.desc_order, want)
-            # -0.0 == 0.0 ties, so the sign each slot of the sorted scores shows is the lexsort's
-            assert engine._pred_asc.tobytes() == corpus[want][::-1].tobytes()
+
+
+def _every_count(n):
+    """Taus flagging k = 0..n records, in that order."""
+    taus = np.arange(n, -1, -1) / n
+    assert sm.flagged_counts(n, taus).tolist() == list(range(n + 1))
+    return taus
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_corpus_tail_means_split_the_cut_block_pro_rata(labeled):
+    rng = np.random.default_rng(11)
+    for pred in _tied_corpora(rng):
+        n = pred.size
+        values = (rng.random(n) < 0.4).astype(float) if labeled else rng.random(n)
+        values[0] = 1.0  # some mass in every corpus
+        corpus = sm.EmpiricalLabeled(pred, values) if labeled else sm.EmpiricalJoint(pred, values)
+        got = sm.conditional_mean_above_grid(corpus, _every_count(n))
+        k = np.arange(n + 1)
+        assert math.isnan(got[0])
+        np.testing.assert_allclose(got[1:], _block_split_tail_sums(pred, values)[1:] / k[1:], rtol=1e-13, atol=1e-15)
+        top = values[pred == pred.max()].mean()
+        assert sm._engine(corpus).cond_mean_top() == pytest.approx(top, rel=1e-14)
+
+
+def test_untied_corpus_tail_means_are_the_plain_top_k_sums():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 37, 2000):
+        pred = rng.permutation(n) / max(n - 1, 1)
+        for values in (rng.random(n), (rng.random(n) < 0.3).astype(float)):
+            corpus = sm.EmpiricalJoint(pred, values)
+            order = np.argsort(-pred)
+            want = np.cumsum(values[order]) / np.arange(1, n + 1)
+            got = sm.conditional_mean_above_grid(corpus, _every_count(n))[1:]
+            assert got.tobytes() == want.tobytes()
+            assert sm._engine(corpus).cond_mean_top() == values[order[0]]
+
+
+def test_corpus_tail_means_ignore_the_row_order_within_blocks(monkeypatch):
+    rng = np.random.default_rng(13)
+    taus = np.linspace(0.0, 1.0, 2001)
+    for pred in _tied_corpora(rng):
+        values = rng.random(pred.size)
+        base = sm._EmpiricalEngine(pred, values)
+        want = base.cond_mean_above_grid(taus)
+        # whatever order the sort kernel leaves within a block: bit for bit
+        with monkeypatch.context() as m:
+            m.setattr(np, "argsort", _ties_in_any_order(rng))
+            engine = sm._EmpiricalEngine(pred, values)
+        assert engine.cond_mean_above_grid(taus).tobytes() == want.tobytes()
+        assert engine.cond_mean_top() == base.cond_mean_top()
+        assert engine.quantile_grid(taus).tobytes() == base.quantile_grid(taus).tobytes()
+        # the rows themselves permuted, within blocks too: rounding only
+        for _ in range(3):
+            perm = rng.permutation(pred.size)
+            engine = sm._EmpiricalEngine(pred[perm], values[perm])
+            np.testing.assert_allclose(engine.cond_mean_above_grid(taus), want, rtol=1e-13, atol=0.0)
+            assert engine.cond_mean_top() == pytest.approx(base.cond_mean_top(), rel=1e-14)
+            assert engine.quantile_grid(taus).tobytes() == base.quantile_grid(taus).tobytes()
 
 
 # --- closed forms and the one grid path ---------------------------------------------
@@ -346,8 +405,8 @@ def _grid_models():
         "small_shapes_perfect": lambda: sm.Analytic(SMALL_SHAPES),
         "mixture_noisy": lambda: sm.Analytic(MIX, sm.GaussianNoiseClipped(0.1)),
         "uniform_noisy_wide": lambda: sm.Analytic(sm.Uniform01(), sm.GaussianNoiseClipped(0.4)),
-        "joint": lambda: sm.EmpiricalJoint(pred, true, tie_seed=4),
-        "labeled": lambda: sm.EmpiricalLabeled(pred, (true < pred).astype(float), tie_seed=5),
+        "joint": lambda: sm.EmpiricalJoint(pred, true),
+        "labeled": lambda: sm.EmpiricalLabeled(pred, (true < pred).astype(float)),
         "scores": lambda: sm.EmpiricalJoint(true, true),
     }
 
@@ -663,7 +722,7 @@ def test_corpus_sample_matches_generator_choice(n):
     # the reference: corpus rows picked by Generator.choice with replacement
     rng = np.random.default_rng(11)
     pred, true = rng.random(20_000), rng.random(20_000)
-    model = sm.EmpiricalJoint(pred, true, tie_seed=2)
+    model = sm.EmpiricalJoint(pred, true)
     for seed in range(5):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         pop = sm.sample_population(model, n, seed=ours)
@@ -711,7 +770,7 @@ _TRUE = np.clip(_PRED + 0.1 * _RNG.standard_normal(400), 0.0, 1.0)
 MODEL_KINDS = {
     "perfect": (lambda: sm.Analytic(MIX), sm._PerfectEngine),
     "noisy": (lambda: sm.Analytic(MIX, sm.GaussianNoiseClipped(0.1)), sm._NoisyEngine),
-    "joint": (lambda: sm.EmpiricalJoint(_PRED, _TRUE, tie_seed=1), sm._EmpiricalEngine),
+    "joint": (lambda: sm.EmpiricalJoint(_PRED, _TRUE), sm._EmpiricalEngine),
     "labeled": (lambda: sm.EmpiricalLabeled(_PRED, (_TRUE > 0.5).astype(float)), sm._EmpiricalEngine),
 }
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from capthresh import fluid as fl
 from capthresh import score_model as sm
 from capthresh import simulate as sim
+from capthresh.scenario import load_empirical_csv
 
 P = fl.BehavioralParams(0.1, 0.5)
 
@@ -432,7 +434,7 @@ _MIX = sm.BetaMixture(((0.7, 2.0, 10.0), (0.3, 8.0, 2.0)))
 def _tied_corpus():
     # five distinct predicted scores over 60 records: sampled cohorts tie at every cut
     rng = np.random.default_rng(21)
-    return sm.EmpiricalJoint(rng.integers(0, 5, 60) / 4.0, rng.random(60), tie_seed=3)
+    return sm.EmpiricalJoint(rng.integers(0, 5, 60) / 4.0, rng.random(60))
 
 
 _COHORT_MODELS = {
@@ -565,6 +567,18 @@ def test_mc_estimate_upper_bound_three_se(mixture_perfect):
             est = sim.simulate_policy(cfg, fl.Fixed(tau), mixture_perfect)
             fluid_w = fl.fluid_objective(tau, mixture_perfect, n, m, P)
             assert est.mean <= fluid_w + 3 * est.std_error
+
+
+def test_mc_agrees_with_the_fluid_value_where_tau_cuts_a_tie_block():
+    # each trial breaks ties afresh, so its limit is the cut block at its average
+    model = load_empirical_csv(Path(__file__).parents[1] / "demos" / "scenarios" / "tied_corpus.csv", "labeled")
+    tau, n, m = 0.81, 20_000, 4_000
+    k = sm.flagged_count(model.predicted.size, tau)
+    scores = np.sort(model.predicted)[::-1]
+    assert scores[k - 1] == scores[k]  # the flagged tail ends inside a block
+    est = sim.simulate_taus(sim.SimConfig(n=n, m=m, params=P, trials=400, seed=3), [tau], model)[0]
+    fluid_w = fl.fluid_objective(tau, model, n, m, P)
+    assert abs(est.mean - fluid_w) <= 4.0 * est.std_error
 
 
 def test_fluid_convergence_in_n(mixture_perfect):
